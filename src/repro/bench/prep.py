@@ -66,8 +66,9 @@ __all__ = [
 #: Storage-schema version of one prep artifact.  Bump on any change to
 #: the payload layout *or* to the pickled structures it carries (plan
 #: tuple shape, GraphArrays fields, …): old artifacts are orphaned by
-#: the salt, not migrated.
-PREP_FORMAT = 1
+#: the salt, not migrated.  Format 2: plans shrank to
+#: ``(compute, touches, gather)``.
+PREP_FORMAT = 2
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

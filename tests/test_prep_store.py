@@ -22,6 +22,7 @@ from repro.bench.prep import (
 )
 from repro.bench.runner import Cell, ExperimentRunner
 from repro.bench.cache import ResultCache
+from repro.sim.cost import COST_MODEL_VERSION
 
 
 CONFIG = {"kind": "prep", "machine": "broadwell", "matrix": "inline1",
@@ -126,17 +127,22 @@ def test_garbage_header_quarantined(store):
 
 
 def test_wrong_salt_quarantined(store, tmp_path):
-    """An artifact written under another salt must never be served."""
-    other = PrepStore(root=str(tmp_path / "prep"), enabled=True,
-                      salt="cost-v999/prep-v999")
-    other.put(CONFIG, _artifact("stale"))
-    # Plant the foreign file where the current-salt store would look.
-    src = other.path_for(other.key(CONFIG))
-    dst = store.path_for(store.key(CONFIG))
-    os.makedirs(os.path.dirname(dst), exist_ok=True)
-    os.replace(src, dst)
-    assert store.get(CONFIG) is None
-    assert store.quarantined == 1
+    """An artifact written under another salt must never be served —
+    including one from the previous prep format (plans that still
+    carried memo-key fields)."""
+    foreign = ("cost-v999/prep-v999",
+               f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT - 1}")
+    for n, salt in enumerate(foreign, start=1):
+        other = PrepStore(root=str(tmp_path / "prep"), enabled=True,
+                          salt=salt)
+        other.put(CONFIG, _artifact("stale"))
+        # Plant the foreign file where the current-salt store would look.
+        src = other.path_for(other.key(CONFIG))
+        dst = store.path_for(store.key(CONFIG))
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        os.replace(src, dst)
+        assert store.get(CONFIG) is None, salt
+        assert store.quarantined == n
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,11 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
+from repro.graph.dag import TaskDAG
 from repro.machine import broadwell
-from repro.sim.engine import SimulationEngine, run_bsp
+from repro.sim.engine import _default_barrier_cost, SimulationEngine, run_bsp
 from repro.sim.schedulers import (
     DeepSparseScheduler,
     HPXScheduler,
@@ -88,11 +91,13 @@ def test_every_task_traced_exactly_once_per_iteration(
         len(dag) * iterations
 
 
-@given(random_problem(),
+@given(random_problem().filter(len),
        st.sampled_from(["deepsparse", "hpx", "regent"]),
        st.integers(0, 100))
 @settings(max_examples=8, deadline=None)
 def test_queue_depth_series_is_sane(dag, policy, seed):
+    # An empty DAG has nothing to queue, so it emits no depth events;
+    # its behaviour is pinned by test_empty_dag_runs_are_pure_barriers.
     _, events = _traced_run(dag, policy, seed, iterations=1)
     depths = [e for e in events if e.kind == "queue"]
     assert depths, "schedulers must report queue depth"
@@ -134,3 +139,21 @@ def test_tracer_never_perturbs_random_runs(dag, policy, seed):
     assert sum(t.l1 for t in tasks) == plain.counters.l1_misses
     assert sum(t.l2 for t in tasks) == plain.counters.l2_misses
     assert sum(t.l3 for t in tasks) == plain.counters.l3_misses
+
+
+@pytest.mark.parametrize("policy", ["deepsparse", "hpx", "regent", "bsp"])
+def test_empty_dag_runs_are_pure_barriers(policy):
+    """A 0-task DAG completes under every policy with no task events.
+
+    The AMT event loop returns at once, so each iteration costs exactly
+    one barrier (five iterations also cover the taped steady-state
+    path).  BSP's barriers close its phases, and an empty DAG has none,
+    so its iterations take no time at all."""
+    bw = broadwell()
+    res, events = _traced_run(TaskDAG(), policy, 0, iterations=5)
+    assert not [e for e in events if e.kind in ("task", "queue")]
+    assert res.counters.tasks_executed == 0
+    per_iteration = 0.0 if policy == "bsp" \
+        else _default_barrier_cost(bw.n_cores)
+    assert list(res.iteration_times) == [per_iteration] * 5
+    assert res.total_time == sum(res.iteration_times)

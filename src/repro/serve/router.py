@@ -391,9 +391,15 @@ class Router(JsonDaemonBase):
 
     # -- health probing ------------------------------------------------
     async def _probe_loop(self) -> None:
+        # Drain also cancels this task, but on Python 3.11
+        # ``asyncio.wait_for`` can swallow a cancellation that lands
+        # just as the probe completes; the loop would then probe
+        # forever and hang drain.  The flag ends it either way.
         wire = request_bytes("GET", "/healthz")
-        while True:
+        while not self._draining:
             for shard in list(self._shards.values()):
+                if self._draining:
+                    break
                 try:
                     status, payload = await asyncio.wait_for(
                         self._probe_once(shard, wire),

@@ -273,6 +273,23 @@ def test_probe_eviction_needs_consecutive_misses():
     assert router.metrics.marked_up == 1
 
 
+def test_probe_loop_ends_on_drain_flag_without_cancellation():
+    """Drain must not rely on cancelling the prober alone: on Python
+    3.11 ``asyncio.wait_for`` can swallow a cancel that races a
+    finished probe, and a loop that never looked at the drain flag
+    then probed forever and hung shutdown."""
+    async def go():
+        router = Router(RouterConfig(
+            members={"shard-x": ("127.0.0.1", _dead_port())},
+            probe_interval=0.01, probe_timeout=0.5))
+        prober = asyncio.create_task(router._probe_loop())
+        await asyncio.sleep(0.05)
+        router._draining = True
+        await asyncio.wait_for(prober, 5)
+
+    asyncio.run(go())
+
+
 def test_all_candidates_dead_yields_503_no_shard():
     async def go():
         router = Router(RouterConfig(members={

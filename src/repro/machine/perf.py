@@ -50,6 +50,21 @@ class PerfCounters:
         self.kernel_time[kernel] = self.kernel_time.get(kernel, 0.0) + duration
         self.kernel_tasks[kernel] = self.kernel_tasks.get(kernel, 0) + 1
 
+    def totals(self) -> tuple:
+        """``(tasks, busy, overhead, compute, memory, l1, l2, l3)``.
+
+        The engines' hot loops accumulate these in locals — the same
+        adds in the same order as per-task :meth:`record_task` calls,
+        so bit-exact — and store them back with :meth:`set_totals`."""
+        return (self.tasks_executed, self.busy_time, self.overhead_time,
+                self.compute_time, self.memory_time, self.l1_misses,
+                self.l2_misses, self.l3_misses)
+
+    def set_totals(self, *totals) -> None:
+        (self.tasks_executed, self.busy_time, self.overhead_time,
+         self.compute_time, self.memory_time, self.l1_misses,
+         self.l2_misses, self.l3_misses) = totals
+
     # ------------------------------------------------------------------
     def misses(self) -> tuple:
         return (self.l1_misses, self.l2_misses, self.l3_misses)

@@ -75,7 +75,7 @@ class CostModel:
         accesses that behave as irregular re-touches (the remainder
         coalesce with neighbouring nonzeros — banded structure, sorted
         block entries).  Calibrates the CSR-vs-CSB gap; see
-        :meth:`_gather_misses`.
+        :meth:`_gather_bundle`.
     """
 
     __slots__ = (
@@ -106,10 +106,10 @@ class CostModel:
         self._prep = None
         self._prep_tasks = None
         self._lazy_info = {}
-        # Fast-path state: armed by ``prepare`` when the DAG interns
-        # its handle keys (dense ints index the home-domain arrays).
-        # ``_fast_prep`` is ``_prep`` when armed, else None — one load
-        # decides the dispatch in ``charge``.
+        # Fast-path state, armed by ``prepare`` (the DAG's interned
+        # handle keys index the home-domain arrays).  ``_fast_prep`` is
+        # ``_prep`` when armed, else None — one load decides the
+        # dispatch in ``charge``.
         self._fast_prep = None
         self._plan_epoch = -1
         self._bare_ctx = None
@@ -153,58 +153,6 @@ class CostModel:
             else:
                 out[yname] = min(chunk, nnz * max(w * 8, 64))
         return out
-
-    def _gather_misses(self, task: Task, core: int):
-        """Irregular input-vector traffic of a SpMV/SpMM task.
-
-        Per nonzero, the kernel gathers one input-vector row.  The
-        first touch of each line is part of the compulsory chunk stream
-        (charged via the cache); *re-touches* hit or miss depending on
-        whether the gather span fits each level: in row-major traversal
-        a line is re-touched one sweep of the span later, so the miss
-        probability at a level of capacity C is ``max(0, 1 − C/span)``.
-        CSB spans one block column; CSR (``csr_storage``) spans the
-        whole vector — this asymmetry is the measured cache advantage
-        of CSB storage (Buluç et al. 2009) and what Fig. 8's L2 column
-        attributes to ``libcsb``.
-
-        Returns ``(l1, l2, l3)`` extra missed lines and their time.
-        """
-        span = task.shape.get("gather_span", 0)
-        if span <= 0:
-            return (0, 0, 0), 0.0
-        nnz = task.shape.get("nnz", 0)
-        retouches = nnz * self.gather_intensity
-        if retouches <= 0:
-            return (0, 0, 0), 0.0
-        m = self.machine
-        p1 = max(0.0, 1.0 - m.l1_size / span)
-        p2 = max(0.0, 1.0 - m.l2_size / span)
-        # The L3 slice is shared: a streaming core holds ~its share.
-        l3_share = m.l3_size / m.l3_group_cores
-        p3 = max(0.0, 1.0 - l3_share / span)
-        g1 = int(retouches * p1)
-        g2 = int(retouches * p2)
-        g3 = int(retouches * p3)
-        # NUMA pricing of the DRAM leg: gathers confined to one block
-        # column hit that chunk's home domain; CSR-style gathers span
-        # the whole (domain-striped) vector and pay the scattered rate.
-        chunk_bytes = task.shape.get("cols", 0) * task.shape.get("width", 1) * 8
-        if span > 1.5 * max(1, chunk_bytes):
-            dram = self.memory.dram_line_cost_scattered(core)
-        else:
-            xkey = None
-            for h in task.reads:
-                if h.part is not None and h.name != task.params.get("A"):
-                    xkey = (h.name, h.part)
-                    break
-            dram = self.memory.dram_line_cost(core, xkey)
-        time = (
-            (g1 - g2) * m.l2_line_cost
-            + (g2 - g3) * m.l3_line_cost
-            + g3 * dram
-        )
-        return (g1, g2, g3), time
 
     # ------------------------------------------------------------------
     # Per-task invariants: everything below is iteration-invariant, so
@@ -261,10 +209,27 @@ class CostModel:
         return (compute, touches, self._gather_bundle(task, key_of))
 
     def _gather_bundle(self, task: Task, key_of=None):
-        """The precompiled gather tuple of :meth:`_task_info`, or None.
+        """Irregular input-vector traffic of a SpMV/SpMM task, or None.
 
-        Factored out so the structure-of-arrays compile path
-        (:meth:`_compile_plans_soa`) shares the exact arithmetic."""
+        Per nonzero, the kernel gathers one input-vector row.  The
+        first touch of each line is part of the compulsory chunk stream
+        (charged via the cache); *re-touches* hit or miss depending on
+        whether the gather span fits each level: in row-major traversal
+        a line is re-touched one sweep of the span later, so the miss
+        probability at a level of capacity C is ``max(0, 1 − C/span)``
+        (the L3 slice is shared, so a streaming core holds ~its share).
+        CSB spans one block column; CSR (``csr_storage``) spans the
+        whole vector — this asymmetry is the measured cache advantage
+        of CSB storage (Buluç et al. 2009) and what Fig. 8's L2 column
+        attributes to ``libcsb``.
+
+        Returns ``(g1, g2, g3, fixed_time, scattered, xkey)``: missed
+        lines per level, their L2/L3 time, and the inputs of the
+        core-dependent DRAM leg ``charge`` prices per call — gathers
+        confined to one block column hit that chunk's home domain
+        (``xkey``); CSR-style gathers span the whole (domain-striped)
+        vector and pay the scattered rate.  Shared by both plan
+        compilers (:meth:`_task_info`, :meth:`_compile_plans_soa`)."""
         span = task.shape.get("gather_span", 0)
         if span <= 0:
             return None
@@ -322,31 +287,18 @@ class CostModel:
         # Handle-key interning: the DAG numbers its operand handles
         # once; prepared touches/gathers below carry those int keys, so
         # every structure hashed in the hot loop hashes small ints.
-        key_of = None
-        soa = None
-        interning = getattr(dag, "handle_interning", None)
-        if interning is not None:
-            key_of, id_to_key = interning()
-            self.memory.adopt_interning(id_to_key)
-            freeze = getattr(dag, "freeze", None)
-            if freeze is not None:
-                soa = freeze()
+        key_of, id_to_key = dag.handle_interning()
+        self.memory.adopt_interning(id_to_key)
         key = (self.machine, self.gather_intensity)
         store = getattr(dag, "_cost_prep", None)
         if store is None:
-            store = {}
-            try:
-                dag._cost_prep = store
-            except AttributeError:  # slotted/foreign DAG type
-                self._prep = self._compile_plans(tasks, key_of, soa)
-                self._arm_fast_path(key_of, dag)
-                return
+            store = dag._cost_prep = {}
         prep = store.get(key)
         if prep is None or len(prep) != len(tasks):
-            prep = self._compile_plans(tasks, key_of, soa)
+            prep = self._compile_plans(tasks, key_of, dag.freeze())
             store[key] = prep
         self._prep = prep
-        self._arm_fast_path(key_of, dag)
+        self._arm_fast_path(dag)
 
     def _compile_plans(self, tasks, key_of, soa=None):
         """Flatten every task into its access plan.
@@ -417,7 +369,7 @@ class CostModel:
             plans.append((compute, tuple(touches), gather))
         return plans
 
-    def _arm_fast_path(self, key_of, dag=None) -> None:
+    def _arm_fast_path(self, dag) -> None:
         """Snapshot NUMA homes for the compiled-plan walk.
 
         The fast walk prices DRAM legs from per-key arrays instead of
@@ -431,36 +383,24 @@ class CostModel:
         home once, not once per engine.
         """
         mem = self.memory
-        arrays = None
-        if key_of is not None:
-            astore = None
-            if dag is not None and not mem._placement:
-                akey = (self.machine, mem.first_touch, mem._n_parts,
-                        mem.matrix_geometry)
-                astore = getattr(dag, "_home_arrays", None)
-                if astore is None:
-                    astore = {}
-                    try:
-                        dag._home_arrays = astore
-                    except AttributeError:  # slotted/foreign DAG type
-                        astore = None
-                if astore is not None:
-                    arrays = astore.get(akey)
-                    if arrays is not None and \
-                            len(arrays[0]) != len(mem._intern_keys):
-                        arrays = None
-            if arrays is None:
-                arrays = mem.home_arrays()
-                if arrays is not None and astore is not None:
-                    astore[akey] = arrays
-        if arrays is not None:
-            homes, haspart = arrays
-            self._plan_epoch = mem.state_epoch
-            self._fast_prep = self._prep
-        else:
-            homes = haspart = None
-            self._plan_epoch = -1
-            self._fast_prep = None
+        arrays = astore = None
+        if not mem._placement:
+            akey = (self.machine, mem.first_touch, mem._n_parts,
+                    mem.matrix_geometry)
+            astore = getattr(dag, "_home_arrays", None)
+            if astore is None:
+                astore = dag._home_arrays = {}
+            arrays = astore.get(akey)
+            if arrays is not None and \
+                    len(arrays[0]) != len(mem._intern_keys):
+                arrays = None
+        if arrays is None:
+            arrays = mem.home_arrays()
+            if astore is not None:
+                astore[akey] = arrays
+        homes, haspart = arrays
+        self._plan_epoch = mem.state_epoch
+        self._fast_prep = self._prep
         # Hot-loop invariants of the bare compiled walk, resolved once
         # per prepare instead of per charge: one shared tuple for the
         # model-wide bindings and a lazily-filled per-core list (see
@@ -547,7 +487,7 @@ class CostModel:
                 memory_t += (m1 - m2) * l2c + m2 * l3c
         if gather is not None:
             g1, g2, g3, fixed, scattered, xkey = gather
-            # NUMA pricing of the gather's DRAM leg (see _gather_misses).
+            # NUMA pricing of the gather's DRAM leg (see _gather_bundle).
             if scattered:
                 dram = self.memory.dram_line_cost_scattered(core)
             else:

@@ -54,7 +54,7 @@ def _pops_hold(vals, pops, last, lim) -> bool:
 
 
 def _steady_state_enabled() -> bool:
-    """Default for the steady-state fast path: on unless the
+    """Whether the steady-state fast path is on: it is unless the
     ``REPRO_NO_STEADY_STATE`` environment kill-switch is set."""
     return not os.environ.get("REPRO_NO_STEADY_STATE")
 
@@ -203,17 +203,44 @@ def _default_barrier_cost(n_cores: int) -> float:
     return 0.4e-6 * max(1.0, math.log2(n_cores))
 
 
+#: Per-task OpenMP loop-body overhead of a BSP library phase.
+_LOOP_OVERHEAD = 0.05e-6
+
+
 def _max_partitions(dag: TaskDAG) -> int:
     """Highest chunk partition count in the DAG (NUMA placement input)."""
-    soa = getattr(dag, "_soa", None)
-    if soa is not None:
-        return max(1, soa.max_part)
-    best = 0
-    for t in dag.tasks:
-        for h in t.reads + t.writes:
-            if h.part is not None:
-                best = max(best, h.part + 1)
-    return max(1, best)
+    return max(1, dag.freeze().max_part)
+
+
+def _begin_faulted_iteration(fs, it, t0, tracer, on_loss=None):
+    """Advance ``fs`` to iteration ``it``; returns the newly dead cores.
+
+    Each death is handed to ``on_loss(core, t0)`` (the AMT policy's
+    recovery) before the tracer sees it."""
+    newly_dead, newly_slow = fs.begin_iteration(it)
+    for c in newly_dead:
+        if on_loss is not None:
+            on_loss(c, t0)
+        if tracer is not None:
+            tracer.fault(t0, c, "core-loss")
+    if tracer is not None:
+        for c in newly_slow:
+            tracer.fault(t0, c, "slow-onset", detail=fs.factor(c))
+    return newly_dead
+
+
+def _close_faults(fs, name, iteration_times, tracer):
+    """The run's :class:`FaultReport` (``None`` when healthy), with each
+    measurable recovery traced at the end of its death iteration."""
+    if fs is None:
+        return None
+    report = fs.finalize(name, tuple(iteration_times))
+    if tracer is not None:
+        for core, at, latency in report.core_losses:
+            if latency is not None:
+                tracer.recovery(sum(iteration_times[: at + 1]), core,
+                                latency)
+    return report
 
 
 class SimulationEngine:
@@ -242,9 +269,7 @@ class SimulationEngine:
         dag: TaskDAG,
         scheduler: Scheduler,
         iterations: int = 1,
-        barrier_cost: Optional[float] = None,
         record_flow: bool = True,
-        steady_state: Optional[bool] = None,
         tracer=None,
         faults=None,
     ) -> RunResult:
@@ -270,8 +295,8 @@ class SimulationEngine:
         (``synthesized=True``) carrying the exact times the full
         simulation would have produced.
 
-        ``steady_state`` arms the iteration fast path (default: on,
-        unless ``REPRO_NO_STEADY_STATE`` is set).  Iterative solvers
+        The iteration fast path is on unless ``REPRO_NO_STEADY_STATE``
+        is set (the full-simulation oracle).  Iterative solvers
         replay the same DAG against machine state that converges to a
         fixed point after a warm-up iteration or two; once the detector
         sees two consecutive iterations leave *identical* machine and
@@ -287,8 +312,7 @@ class SimulationEngine:
         state that never repeats (HPX's RNG), in which case every
         iteration is simulated in full.
         """
-        if barrier_cost is None:
-            barrier_cost = _default_barrier_cost(self.machine.n_cores)
+        barrier_cost = _default_barrier_cost(self.machine.n_cores)
         self.memory.configure_from_dag(dag)
         if self.memory.n_parts is None:
             self.memory.n_parts = _max_partitions(dag)
@@ -298,8 +322,6 @@ class SimulationEngine:
         # record_flow=False must actually skip recording, not record
         # every task and throw the trace away afterwards.
         flow = FlowGraph() if record_flow else None
-        if steady_state is None:
-            steady_state = _steady_state_enabled()
         if tracer is not None:
             tracer.begin_run(self.machine.name, scheduler.name,
                              self.machine.n_cores, dag)
@@ -309,7 +331,7 @@ class SimulationEngine:
         fs = faults.state(self.machine) if faults is not None else None
         # Detection needs two comparable warm iterations after the cold
         # one, so runs shorter than 4 iterations never tape.
-        armed = bool(steady_state) and iterations >= 4 and fs is None
+        armed = _steady_state_enabled() and iterations >= 4 and fs is None
         clock = 0.0
         iteration_times: List[float] = []
         steady_state_at = None
@@ -320,15 +342,8 @@ class SimulationEngine:
             t0 = clock
             scheduler.reset_iteration(it, t0)
             if fs is not None:
-                newly_dead, newly_slow = fs.begin_iteration(it)
-                for c in newly_dead:
-                    scheduler.on_core_loss(c, t0)
-                    if tracer is not None:
-                        tracer.fault(t0, c, "core-loss")
-                if tracer is not None:
-                    for c in newly_slow:
-                        tracer.fault(t0, c, "slow-onset",
-                                     detail=fs.factor(c))
+                _begin_faulted_iteration(fs, it, t0, tracer,
+                                         scheduler.on_core_loss)
             ops, batches = ([], []) if armed else (None, None)
             end, end_node = self._run_iteration(
                 dag, scheduler, counters, flow, it, t0, ttask, fs,
@@ -371,15 +386,6 @@ class SimulationEngine:
         if tracer is not None:
             scheduler.tracer = None
             self.cache.trace_hook = None
-        fault_report = None
-        if fs is not None:
-            fault_report = fs.finalize(scheduler.name,
-                                       tuple(iteration_times))
-            if tracer is not None:
-                for core, at, latency in fault_report.core_losses:
-                    if latency is not None:
-                        tracer.recovery(sum(iteration_times[: at + 1]),
-                                        core, latency)
         return RunResult(
             machine=self.machine.name,
             policy=scheduler.name,
@@ -390,7 +396,8 @@ class SimulationEngine:
             n_cores=self.machine.n_cores,
             n_tasks_per_iteration=len(dag),
             steady_state_at=steady_state_at,
-            fault_report=fault_report,
+            fault_report=_close_faults(fs, scheduler.name, iteration_times,
+                                       tracer),
         )
 
     # ------------------------------------------------------------------
@@ -491,23 +498,52 @@ class SimulationEngine:
         record_flow = flow.record if flow is not None else None
         heappush = heapq.heappush
         heappop = heapq.heappop
-        # Counter accumulation in locals, seeded from the running values
-        # and stored back once per iteration: the sequence of float adds
-        # is identical to per-task ``counters.record_task`` calls (same
-        # running accumulator, same task order), so results are
-        # bit-exact while the hot loop touches no instance attributes.
-        n_exec = counters.tasks_executed
-        busy_t = counters.busy_time
-        ovh_t = counters.overhead_time
-        comp_t = counters.compute_time
-        mem_t = counters.memory_time
-        l1m = counters.l1_misses
-        l2m = counters.l2_misses
-        l3m = counters.l3_misses
+        # Counters accumulate in locals (see PerfCounters.totals).
+        (n_exec, busy_t, ovh_t, comp_t, mem_t,
+         l1m, l2m, l3m) = counters.totals()
         ktime = counters.kernel_time
         ktasks = counters.kernel_tasks
         ktime_get = ktime.get
         ktasks_get = ktasks.get
+
+        def launch(tid, core, start):
+            """Charge ``tid`` on ``core`` from ``start``: push its
+            finish, count and record it; returns its duration."""
+            nonlocal nv, n_exec, busy_t, ovh_t, comp_t, mem_t, l1m, l2m, l3m
+            task = tasks[tid]
+            overhead = overhead_of(tid)
+            dur, compute, memory_t, (m1, m2, m3) = charge(task, core)
+            if derates is not None and derates[core] != 1.0:
+                f = derates[core]
+                dur, compute, extra = apply_core_derate(dur, compute, f)
+                ovh_extra = overhead * (f - 1.0)
+                overhead += ovh_extra
+                fs.slow_time += extra + ovh_extra
+            dur += overhead
+            if tape_op is not None:
+                tape_op((2, time_node, dur, tid, core, overhead,
+                         compute, memory_t, m1, m2, m3))
+            end = start + dur
+            heappush(finish_heap, (end, core, tid, nv))
+            nv += 1
+            kernel = task.kernel
+            n_exec += 1
+            busy_t += dur
+            ovh_t += overhead
+            comp_t += compute
+            mem_t += memory_t
+            l1m += m1
+            l2m += m2
+            l3m += m3
+            ktime[kernel] = ktime_get(kernel, 0.0) + dur
+            ktasks[kernel] = ktasks_get(kernel, 0) + 1
+            if record_flow is not None:
+                record_flow(tid, kernel, core, start, end, it)
+            if ttask is not None:
+                ttask(tid, kernel, core, start, end, it, overhead,
+                      compute, memory_t, m1, m2, m3)
+            return dur
+
         while completed < n:
             while release_heap and release_heap[0][0] <= time + _EPS:
                 _, tid, enabler, node = heappop(release_heap)
@@ -524,40 +560,7 @@ class SimulationEngine:
                     tid = pick(core, time)
                     if tid is None:
                         continue
-                    task = tasks[tid]
-                    overhead = overhead_of(tid)
-                    dur, compute, memory_t, (m1, m2, m3) = charge(task, core)
-                    if derates is not None and derates[core] != 1.0:
-                        f = derates[core]
-                        dur, compute, extra = apply_core_derate(
-                            dur, compute, f
-                        )
-                        ovh_extra = overhead * (f - 1.0)
-                        overhead += ovh_extra
-                        fs.slow_time += extra + ovh_extra
-                    dur += overhead
-                    if tape_op is not None:
-                        tape_op((2, time_node, dur, tid, core, overhead,
-                                 compute, memory_t, m1, m2, m3))
-                    heappush(finish_heap, (time + dur, core, tid, nv))
-                    nv += 1
-                    kernel = task.kernel
-                    n_exec += 1
-                    busy_t += dur
-                    ovh_t += overhead
-                    comp_t += compute
-                    mem_t += memory_t
-                    l1m += m1
-                    l2m += m2
-                    l3m += m3
-                    ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                    ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                    if record_flow is not None:
-                        record_flow(tid, kernel, core, time,
-                                    time + dur, it)
-                    if ttask is not None:
-                        ttask(tid, kernel, core, time, time + dur, it,
-                              overhead, compute, memory_t, m1, m2, m3)
+                    launch(tid, core, time)
                     idle[core] = 0
                     n_idle -= 1
                     assigned = True
@@ -598,46 +601,10 @@ class SimulationEngine:
                             # unreleased until a clean attempt lands.
                             attempts[tid] = a + 1
                             backoff = fs.backoff_seconds(a)
-                            task = tasks[tid]
-                            overhead = overhead_of(tid)
-                            dur, compute, memory_t, (m1, m2, m3) = charge(
-                                task, core
-                            )
-                            if (derates is not None
-                                    and derates[core] != 1.0):
-                                f = derates[core]
-                                dur, compute, extra = apply_core_derate(
-                                    dur, compute, f
-                                )
-                                ovh_extra = overhead * (f - 1.0)
-                                overhead += ovh_extra
-                                fs.slow_time += extra + ovh_extra
-                            dur += overhead
-                            start2 = ftime + backoff
-                            heappush(finish_heap,
-                                     (start2 + dur, core, tid, nv))
-                            nv += 1
-                            kernel = task.kernel
-                            n_exec += 1
-                            busy_t += dur
-                            ovh_t += overhead
-                            comp_t += compute
-                            mem_t += memory_t
-                            l1m += m1
-                            l2m += m2
-                            l3m += m3
-                            ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                            ktasks[kernel] = ktasks_get(kernel, 0) + 1
+                            fs.re_executed_time += launch(
+                                tid, core, ftime + backoff)
                             fs.retries += 1
-                            fs.re_executed_time += dur
                             fs.backoff_time += backoff
-                            if record_flow is not None:
-                                record_flow(tid, kernel, core, start2,
-                                            start2 + dur, it)
-                            if ttask is not None:
-                                ttask(tid, kernel, core, start2,
-                                      start2 + dur, it, overhead,
-                                      compute, memory_t, m1, m2, m3)
                             if scheduler.tracer is not None:
                                 scheduler.tracer.fault(
                                     ftime, core, "task-retry", tid,
@@ -669,14 +636,8 @@ class SimulationEngine:
                 batches.append((time_node, rival, won, tuple(released),
                                 tuple(batch)))
                 released.clear()
-        counters.tasks_executed = n_exec
-        counters.busy_time = busy_t
-        counters.overhead_time = ovh_t
-        counters.compute_time = comp_t
-        counters.memory_time = mem_t
-        counters.l1_misses = l1m
-        counters.l2_misses = l2m
-        counters.l3_misses = l3m
+        counters.set_totals(n_exec, busy_t, ovh_t, comp_t, mem_t,
+                            l1m, l2m, l3m)
         return time, time_node
 
     # ------------------------------------------------------------------
@@ -736,14 +697,8 @@ class SimulationEngine:
         record_flow = flow.record if flow is not None else None
         ttask = tracer.task if tracer is not None else None
         eps = _EPS
-        n_exec = counters.tasks_executed
-        busy_t = counters.busy_time
-        ovh_t = counters.overhead_time
-        comp_t = counters.compute_time
-        mem_t = counters.memory_time
-        l1m = counters.l1_misses
-        l2m = counters.l2_misses
-        l3m = counters.l3_misses
+        (n_exec, busy_t, ovh_t, comp_t, mem_t,
+         l1m, l2m, l3m) = counters.totals()
         ktime = counters.kernel_time
         ktasks = counters.kernel_tasks
         ktime_get = ktime.get
@@ -813,14 +768,8 @@ class SimulationEngine:
                 tracer.barrier(it, t0, vals[end_node], clock,
                                synthesized=True)
             it += 1
-        counters.tasks_executed = n_exec
-        counters.busy_time = busy_t
-        counters.overhead_time = ovh_t
-        counters.compute_time = comp_t
-        counters.memory_time = mem_t
-        counters.l1_misses = l1m
-        counters.l2_misses = l2m
-        counters.l3_misses = l3m
+        counters.set_totals(n_exec, busy_t, ovh_t, comp_t, mem_t,
+                            l1m, l2m, l3m)
         return it, clock
 
 
@@ -841,16 +790,11 @@ def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
     """
     memo = getattr(dag, "_bsp_phases", None)
     if memo is None:
-        memo = {}
-        try:
-            dag._bsp_phases = memo
-        except AttributeError:  # slotted/foreign DAG type
-            memo = None
+        memo = dag._bsp_phases = {}
     mkey = (n_cores, bool(nnz_balanced))
-    if memo is not None:
-        cached = memo.get(mkey)
-        if cached is not None:
-            return cached
+    cached = memo.get(mkey)
+    if cached is not None:
+        return cached
     tasks = dag.tasks
     phases: List[List[int]] = []
     last_seq = None
@@ -908,9 +852,36 @@ def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
             for k, g in enumerate(groups)
             for tid in g
         ])
-    if memo is not None:
-        memo[mkey] = phase_assignments
+    memo[mkey] = phase_assignments
     return phase_assignments
+
+
+def _bsp_catch_up(phase_assignments, pred, dead, rcore):
+    """Each phase's work list with the dead lanes' share moved last.
+
+    BSP has no runtime to recover a lost lane: its statically assigned
+    tasks — and any live-lane task transitively depending on them —
+    miss the barrier and re-run serially on ``rcore`` after every live
+    lane has finished.  The catch-up follows a ``(-1, rcore)`` marker
+    at which :func:`run_bsp` stalls ``rcore`` until the phase's other
+    lanes are done.
+    """
+    out = []
+    for assignment in phase_assignments:
+        work = []
+        deferred = []
+        stuck: set = set()
+        for tid, core in assignment:
+            if core in dead or (stuck and any(p in stuck for p in pred[tid])):
+                deferred.append((tid, rcore))
+                stuck.add(tid)
+            else:
+                work.append((tid, core))
+        if deferred:
+            work.append((-1, rcore))
+            work += deferred
+        out.append(work)
+    return out
 
 
 def run_bsp(
@@ -919,11 +890,7 @@ def run_bsp(
     iterations: int = 1,
     first_touch: bool = True,
     flavor: str = "bsp",
-    barrier_cost: Optional[float] = None,
-    loop_overhead: float = 0.05e-6,
-    record_flow: bool = True,
     nnz_balanced: bool = False,
-    steady_state: Optional[bool] = None,
     tracer=None,
     faults=None,
 ) -> RunResult:
@@ -935,14 +902,13 @@ def run_bsp(
     barrier closes the phase.  Dependence edges are honoured by
     construction because phases execute in program order.
 
-    ``steady_state`` arms the same iteration fast path as
-    :meth:`SimulationEngine.run`: once two consecutive iterations leave
-    identical cache/NUMA state behind and produce identical per-task
-    charge tapes, the remaining iterations re-run the (cheap) clock
-    arithmetic against the taped charges instead of re-simulating the
-    cache — the schedule here is static, so the replay *is* the full
-    per-iteration computation minus the ``charge`` calls, and results
-    are bit-identical by construction.
+    The iteration fast path of :meth:`SimulationEngine.run` applies
+    here too: once two consecutive iterations leave identical
+    cache/NUMA state behind and draw identical charges, the remaining
+    iterations run the same loop fed the taped charges instead of
+    calling ``charge`` — the schedule is static, so the replay *is* the
+    full per-iteration computation minus the cache simulation, and
+    results are bit-identical by construction.
 
     ``faults`` attaches a :class:`repro.faults.FaultPlan`.  BSP has no
     runtime to recover a lost lane: the dead lane's share (and any live
@@ -953,8 +919,8 @@ def run_bsp(
     disarms the steady-state fast path and fills
     ``RunResult.fault_report``.
     """
-    if barrier_cost is None:
-        barrier_cost = _default_barrier_cost(machine.n_cores)
+    n_cores = machine.n_cores
+    barrier_cost = _default_barrier_cost(n_cores)
     cache = CacheHierarchy(machine)
     memory = MemoryModel(machine, first_touch=first_touch, scattered=True)
     memory.configure_from_dag(dag)
@@ -964,71 +930,60 @@ def run_bsp(
     cost.prepare(dag)
     counters = PerfCounters()
     flow = FlowGraph()
-    n_cores = machine.n_cores
     tasks = dag.tasks
     pred = dag.pred
     phase_assignments = _bsp_phase_assignments(dag, n_cores, nnz_balanced)
+    work_lists = phase_assignments
 
     charge = cost.charge
-    frecord = flow.record if record_flow else None
+    frecord = flow.record
     if tracer is not None:
         tracer.begin_run(machine.name, flavor, n_cores, dag)
         cache.trace_hook = tracer._on_cache_access
     ttask = tracer.task if tracer is not None else None
-    # Local counter accumulation (bit-exact: same adds, same order as
-    # per-task ``record_task`` calls on the fresh counters object).
-    n_exec = 0
-    busy_t = ovh_t = comp_t = mem_t = 0.0
-    l1m = l2m = l3m = 0
+    # Counters accumulate in locals (see PerfCounters.totals).
+    n_exec, busy_t, ovh_t, comp_t, mem_t, l1m, l2m, l3m = counters.totals()
     ktime = counters.kernel_time
     ktasks = counters.kernel_tasks
     ktime_get = ktime.get
     ktasks_get = ktasks.get
-    if steady_state is None:
-        steady_state = _steady_state_enabled()
     fs = faults.state(machine) if faults is not None else None
-    armed = bool(steady_state) and iterations >= 4 and fs is None
+    derates = None
+    rate = 0.0
+    armed = _steady_state_enabled() and iterations >= 4 and fs is None
     steady_state_at = None
-    prev_fp = None
-    prev_charges = None
+    prev_fp = prev_taped = None
+    replay = None  # the taped charges, once the fixed point is reached
     clock = 0.0
     iteration_times = []
     it = 0
-    while fs is not None and it < iterations:
-        # Faulted BSP iteration: there is no runtime to recover a dead
-        # lane, so its statically-assigned share never reaches the
-        # barrier on time — the phase stalls, and the share (plus any
-        # live-lane task transitively depending on it) is re-run
-        # serially on the lowest surviving core, the paper's worst-case
-        # no-recovery model.  A separate loop so the healthy path below
-        # stays byte-for-byte untouched.
+    while it < iterations:
         t0 = clock
-        newly_dead, newly_slow = fs.begin_iteration(it)
-        if tracer is not None:
-            for c in newly_dead:
-                tracer.fault(t0, c, "core-loss")
-            for c in newly_slow:
-                tracer.fault(t0, c, "slow-onset", detail=fs.factor(c))
-        derates = fs.derates
-        rate = fs.rate
-        budget = fs.budget
-        rcore = fs.recovery_core
-        for assignment in phase_assignments:
+        if fs is not None:
+            newly_dead = _begin_faulted_iteration(fs, it, t0, tracer)
+            if newly_dead:
+                work_lists = _bsp_catch_up(phase_assignments, pred,
+                                           fs.dead_cores, fs.recovery_core)
+            derates = fs.derates
+            rate = fs.rate
+        feed = iter(replay).__next__ if replay is not None else None
+        synthesized = feed is not None
+        taped = [] if armed else None
+        for work in work_lists:
             core_clock = [clock] * n_cores
             phase_end: dict = {}
-            deferred: List[int] = []
-            deferred_set: set = set()
-            for tid, core in assignment:
-                if fs.dead(core) or (
-                    deferred_set
-                    and any(p in deferred_set for p in pred[tid])
-                ):
-                    # Cascade: a live lane's task whose producer is
-                    # stuck behind the dead lane stalls with it.
-                    deferred.append(tid)
-                    deferred_set.add(tid)
+            stall_from = None
+            for tid, core in work:
+                if tid < 0:
+                    # Serial catch-up: ``core`` waits for every live
+                    # lane to hit the barrier.
+                    stall_from = core_clock[core] = max(core_clock)
                     continue
                 task = tasks[tid]
+                kernel = task.kernel
+                # Intra-phase dependences (row chains stay on one core;
+                # reduce tasks read partials from other cores) delay
+                # the start beyond the core's own availability.
                 start = core_clock[core]
                 for p in pred[tid]:
                     e = phase_end.get(p)
@@ -1036,10 +991,11 @@ def run_bsp(
                         start = e
                 attempt = 0
                 while True:
-                    dur, compute, memory_t, (m1, m2, m3) = charge(
-                        task, core
-                    )
-                    lo = loop_overhead
+                    c = charge(task, core) if feed is None else feed()
+                    if taped is not None:
+                        taped.append(c)
+                    dur, compute, memory_t, (m1, m2, m3) = c
+                    lo = _LOOP_OVERHEAD
                     if derates is not None and derates[core] != 1.0:
                         f = derates[core]
                         dur, compute, extra = apply_core_derate(
@@ -1050,7 +1006,6 @@ def run_bsp(
                         fs.slow_time += extra + lo_extra
                     dur += lo
                     end = start + dur
-                    kernel = task.kernel
                     n_exec += 1
                     busy_t += dur
                     ovh_t += lo
@@ -1061,15 +1016,17 @@ def run_bsp(
                     l3m += m3
                     ktime[kernel] = ktime_get(kernel, 0.0) + dur
                     ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                    if frecord is not None:
-                        frecord(tid, kernel, core, start, end, it)
+                    frecord(tid, kernel, core, start, end, it)
                     if ttask is not None:
+                        # Replayed tasks are synthesized events carrying
+                        # the exact times full simulation would produce.
                         ttask(tid, kernel, core, start, end, it,
-                              lo, compute, memory_t, m1, m2, m3)
+                              lo, compute, memory_t, m1, m2, m3,
+                              synthesized)
                     if attempt > 0:
                         fs.re_executed_time += dur
                     if rate > 0.0 and fs.task_fails(it, tid, attempt):
-                        if attempt < budget:
+                        if attempt < fs.budget:
                             backoff = fs.backoff_seconds(attempt)
                             fs.retries += 1
                             fs.backoff_time += backoff
@@ -1087,194 +1044,33 @@ def run_bsp(
                 core_clock[core] = end
                 phase_end[tid] = end
             phase_close = max(core_clock)
-            if deferred:
-                # Serial catch-up on the recovery core after everyone
-                # else has hit the barrier.
-                start = phase_close
-                for tid in deferred:
-                    task = tasks[tid]
-                    attempt = 0
-                    while True:
-                        dur, compute, memory_t, (m1, m2, m3) = charge(
-                            task, rcore
-                        )
-                        lo = loop_overhead
-                        if derates is not None and derates[rcore] != 1.0:
-                            f = derates[rcore]
-                            dur, compute, extra = apply_core_derate(
-                                dur, compute, f
-                            )
-                            lo_extra = lo * (f - 1.0)
-                            lo += lo_extra
-                            fs.slow_time += extra + lo_extra
-                        dur += lo
-                        end = start + dur
-                        kernel = task.kernel
-                        n_exec += 1
-                        busy_t += dur
-                        ovh_t += lo
-                        comp_t += compute
-                        mem_t += memory_t
-                        l1m += m1
-                        l2m += m2
-                        l3m += m3
-                        ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                        ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                        if frecord is not None:
-                            frecord(tid, kernel, rcore, start, end, it)
-                        if ttask is not None:
-                            ttask(tid, kernel, rcore, start, end, it,
-                                  lo, compute, memory_t, m1, m2, m3)
-                        if attempt > 0:
-                            fs.re_executed_time += dur
-                        if rate > 0.0 and fs.task_fails(it, tid, attempt):
-                            if attempt < budget:
-                                backoff = fs.backoff_seconds(attempt)
-                                fs.retries += 1
-                                fs.backoff_time += backoff
-                                if tracer is not None:
-                                    tracer.fault(end, rcore,
-                                                 "task-retry", tid,
-                                                 float(attempt + 1))
-                                start = end + backoff
-                                attempt += 1
-                                continue
-                            fs.abandoned += 1
-                            if tracer is not None:
-                                tracer.fault(end, rcore,
-                                             "task-abandoned", tid,
-                                             float(attempt))
-                        break
-                    phase_end[tid] = end
-                    start = end
-                fs.stall_time += start - phase_close
-                phase_close = start
+            if stall_from is not None:
+                fs.stall_time += phase_close - stall_from
             clock = phase_close + barrier_cost
         iteration_times.append(clock - t0)
         if tracer is not None:
+            # During replay the machine state is at its fixed point, so
+            # barrier samples legitimately repeat it.
             tracer.sample_machine(it, clock - barrier_cost, cache, memory)
-            tracer.barrier(it, t0, clock - barrier_cost, clock)
+            tracer.barrier(it, t0, clock - barrier_cost, clock,
+                           synthesized=synthesized)
         it += 1
-    while it < iterations:
-        t0 = clock
-        charges = [] if armed else None
-        tape_charge = charges.append if armed else None
-        for assignment in phase_assignments:
-            core_clock = [clock] * n_cores
-            phase_end: dict = {}
-            for tid, core in assignment:
-                task = tasks[tid]
-                dur, compute, memory_t, (m1, m2, m3) = charge(task, core)
-                dur += loop_overhead
-                if tape_charge is not None:
-                    tape_charge((dur, compute, memory_t, m1, m2, m3))
-                # Intra-phase dependences (row chains stay on one core;
-                # reduce tasks read partials from other cores) delay
-                # the start beyond the core's own availability.
-                start = core_clock[core]
-                for p in pred[tid]:
-                    e = phase_end.get(p)
-                    if e is not None and e > start:
-                        start = e
-                end = start + dur
-                core_clock[core] = end
-                phase_end[tid] = end
-                kernel = task.kernel
-                n_exec += 1
-                busy_t += dur
-                ovh_t += loop_overhead
-                comp_t += compute
-                mem_t += memory_t
-                l1m += m1
-                l2m += m2
-                l3m += m3
-                ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                if frecord is not None:
-                    frecord(tid, kernel, core, start, end, it)
-                if ttask is not None:
-                    ttask(tid, kernel, core, start, end, it,
-                          loop_overhead, compute, memory_t, m1, m2, m3)
-            clock = max(core_clock) + barrier_cost
-        iteration_times.append(clock - t0)
-        if tracer is not None:
-            tracer.sample_machine(it, clock - barrier_cost, cache, memory)
-            tracer.barrier(it, t0, clock - barrier_cost, clock)
-        it += 1
-        if not armed:
+        if taped is None:
             continue
         fp = _machine_state_fingerprint(cache, memory)
-        if prev_fp is not None and fp == prev_fp and charges == prev_charges:
+        if fp == prev_fp and taped == prev_taped:
             # Cache/NUMA state is at a fixed point and the last two
             # iterations charged identically: every remaining charge()
-            # would return the taped values.  Replay the clock/counter
-            # arithmetic (identical float ops, so bit-identical) with
-            # the expensive cache simulation elided.
+            # would return the taped values, so feed them instead.
+            replay = taped
             steady_state_at = it
-            while it < iterations:
-                t0 = clock
-                ci = 0
-                for assignment in phase_assignments:
-                    core_clock = [clock] * n_cores
-                    phase_end = {}
-                    for tid, core in assignment:
-                        dur, compute, memory_t, m1, m2, m3 = charges[ci]
-                        ci += 1
-                        start = core_clock[core]
-                        for p in pred[tid]:
-                            e = phase_end.get(p)
-                            if e is not None and e > start:
-                                start = e
-                        end = start + dur
-                        core_clock[core] = end
-                        phase_end[tid] = end
-                        kernel = tasks[tid].kernel
-                        n_exec += 1
-                        busy_t += dur
-                        ovh_t += loop_overhead
-                        comp_t += compute
-                        mem_t += memory_t
-                        l1m += m1
-                        l2m += m2
-                        l3m += m3
-                        ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                        ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                        if frecord is not None:
-                            frecord(tid, kernel, core, start, end, it)
-                        if ttask is not None:
-                            ttask(tid, kernel, core, start, end, it,
-                                  loop_overhead, compute, memory_t,
-                                  m1, m2, m3, True)
-                    clock = max(core_clock) + barrier_cost
-                iteration_times.append(clock - t0)
-                if tracer is not None:
-                    # Fixed-point machine state: samples repeat it.
-                    tracer.sample_machine(it, clock - barrier_cost,
-                                          cache, memory)
-                    tracer.barrier(it, t0, clock - barrier_cost, clock,
-                                   synthesized=True)
-                it += 1
-            break
+            armed = False
         prev_fp = fp
-        prev_charges = charges
-    counters.tasks_executed = n_exec
-    counters.busy_time = busy_t
-    counters.overhead_time = ovh_t
-    counters.compute_time = comp_t
-    counters.memory_time = mem_t
-    counters.l1_misses = l1m
-    counters.l2_misses = l2m
-    counters.l3_misses = l3m
+        prev_taped = taped
+    counters.set_totals(n_exec, busy_t, ovh_t, comp_t, mem_t,
+                        l1m, l2m, l3m)
     if tracer is not None:
         cache.trace_hook = None
-    fault_report = None
-    if fs is not None:
-        fault_report = fs.finalize(flavor, tuple(iteration_times))
-        if tracer is not None:
-            for core, at, latency in fault_report.core_losses:
-                if latency is not None:
-                    tracer.recovery(sum(iteration_times[: at + 1]),
-                                    core, latency)
     return RunResult(
         machine=machine.name,
         policy=flavor,
@@ -1285,5 +1081,5 @@ def run_bsp(
         n_cores=n_cores,
         n_tasks_per_iteration=len(dag),
         steady_state_at=steady_state_at,
-        fault_report=fault_report,
+        fault_report=_close_faults(fs, flavor, iteration_times, tracer),
     )

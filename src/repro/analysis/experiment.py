@@ -42,10 +42,18 @@ from repro.tuning.blocksize import block_size_for_count
 
 __all__ = [
     "run_cell", "run_version", "ALL_VERSIONS", "DEFAULT_WIDTHS",
-    "prep_config", "prebuild_prep",
+    "SEEDED_VERSIONS", "prep_config", "prebuild_prep",
 ]
 
 ALL_VERSIONS = ("libcsr", "libcsb", "deepsparse", "hpx", "regent")
+
+#: Versions whose simulated result depends on the runtime seed.  Only
+#: HPX schedules stochastically (window picks, Fig. 13); the DeepSparse
+#: and Regent policies and the BSP phases never draw randomness, so the
+#: result-cache key maps their seed to 0 (:meth:`repro.bench.Cell.config`).
+#: Pinned by ``tests/test_seed_identity.py``: exactly these versions'
+#: schedulers own an RNG after ``prepare``.
+SEEDED_VERSIONS = frozenset({"hpx"})
 
 #: Paper vector-block widths: LOBPCG blocks have 8–16 columns.
 DEFAULT_WIDTHS = {"lobpcg": 8, "lanczos": 20}  # lanczos: Krylov basis size

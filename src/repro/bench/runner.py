@@ -29,6 +29,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.analysis.experiment import SEEDED_VERSIONS
 from repro.bench.cache import ResultCache, default_cache
 from repro.sim.engine import RunResultSummary
 
@@ -76,9 +77,16 @@ class Cell:
     def config(self) -> dict:
         """Canonical key material for the result cache.
 
-        ``libcsr`` ignores the block count (its grain is one row chunk
-        per core), so it is normalized out of the key — every
-        ``libcsr`` cell of a block-count sweep hits the same entry.
+        The key holds only inputs that can change the simulated
+        result, so cells that simulate identically share one entry
+        (and one shard, and one single-flight slot):
+
+        * ``libcsr`` ignores the block count (its grain is one row
+          chunk per core), so the block count becomes ``None``;
+        * only :data:`~repro.analysis.experiment.SEEDED_VERSIONS`
+          schedule stochastically, so every other version's seed
+          becomes 0 — mapped rather than dropped, so seed-0 keys keep
+          their bytes.
         """
         return {
             "machine": self.machine,
@@ -90,7 +98,8 @@ class Cell:
             "iterations": int(self.iterations),
             "width": self.width,
             "first_touch": bool(self.first_touch),
-            "seed": int(self.seed),
+            "seed": (int(self.seed) if self.version in SEEDED_VERSIONS
+                     else 0),
         }
 
     def label(self) -> str:

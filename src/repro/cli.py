@@ -27,6 +27,12 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.matrices.suite import SUITE_ORDER
+
+    # Suite-matrix arguments reject a typo at parse time (exit 2, known
+    # names listed) instead of shipping it to a worker pool.
+    suite_matrix = dict(choices=SUITE_ORDER, metavar="MATRIX")
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="Task-parallel sparse-solver evaluation (ICPP '21 "
@@ -37,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("suite", help="list the Table 1 matrix suite")
 
     s = sub.add_parser("solve", help="eagerly solve one suite matrix")
-    s.add_argument("--matrix", required=True)
+    s.add_argument("--matrix", **suite_matrix, required=True)
     s.add_argument("--solver", choices=["lanczos", "lobpcg", "cg"],
                    default="lobpcg")
     s.add_argument("--scale", type=int, default=8192,
@@ -51,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("compare",
                        help="simulate the five solver versions at "
                             "paper scale")
-    s.add_argument("--matrix", required=True)
+    s.add_argument("--matrix", **suite_matrix, required=True)
     s.add_argument("--solver", choices=["lanczos", "lobpcg"],
                    default="lobpcg")
     s.add_argument("--machine", choices=["broadwell", "epyc"],
@@ -60,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--iterations", type=int, default=2)
 
     s = sub.add_parser("tune", help="sweep the §5.4 block-count buckets")
-    s.add_argument("--matrix", required=True)
+    s.add_argument("--matrix", **suite_matrix, required=True)
     s.add_argument("--runtime",
                    choices=["deepsparse", "hpx", "regent"],
                    default="deepsparse")
@@ -80,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--machine", nargs="+",
                    choices=["broadwell", "epyc"], default=["broadwell"])
-    s.add_argument("--matrix", nargs="+", default=None,
+    s.add_argument("--matrix", **suite_matrix, nargs="+", default=None,
                    help="suite matrices (default: the representative "
                         "8-matrix subset)")
     s.add_argument("--solver", nargs="+",
@@ -124,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
              "compare against the healthy run (per-runtime recovery "
              "behaviour, retries, stall time)",
     )
-    s.add_argument("--matrix", default="inline1")
+    s.add_argument("--matrix", **suite_matrix, default="inline1")
     s.add_argument("--solver", choices=["lanczos", "lobpcg"],
                    default="lanczos")
     s.add_argument("--machine", choices=["broadwell", "epyc"],
@@ -152,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
              "trace-event JSON (chrome://tracing / Perfetto) plus a "
              "per-iteration metrics table",
     )
-    s.add_argument("--matrix", required=True)
+    s.add_argument("--matrix", **suite_matrix, required=True)
     s.add_argument("--solver", choices=["lanczos", "lobpcg"],
                    default="lanczos")
     s.add_argument("--version",
@@ -191,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "corrupt artifacts")
     s.add_argument("--machine", nargs="+",
                    choices=["broadwell", "epyc"], default=["broadwell"])
-    s.add_argument("--matrix", nargs="+", default=None,
+    s.add_argument("--matrix", **suite_matrix, nargs="+", default=None,
                    help="matrices to prebuild (default: the "
                         "representative 8-matrix subset)")
     s.add_argument("--solver", nargs="+",
@@ -537,6 +543,8 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import time
+
     from repro.bench import (
         DEFAULT_MATRICES,
         ExperimentRunner,
@@ -572,6 +580,8 @@ def _cmd_bench(args) -> int:
              cell.label().replace("/", "-").replace("@", "-bc"))
             for cell in cells
         ]
+        t0 = time.perf_counter()
+        n_workers = 1
         if runner.jobs > 1 and len(cells) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -586,6 +596,11 @@ def _cmd_bench(args) -> int:
         else:
             traced = [_traced_bench_cell(fields, label, args.trace)
                       for fields, label in work]
+        # Traced cells bypass the runner, so its cache report would
+        # read "0 unique cells"; report the traced sweep itself.
+        traced_report = (f"{len(cells)} traced cells: "
+                         f"{time.perf_counter() - t0:.2f} s wall, "
+                         f"jobs={n_workers} (result cache bypassed)")
         results = []
         for cell, (summary, trace_path) in zip(cells, traced):
             if args.profile:
@@ -617,8 +632,11 @@ def _cmd_bench(args) -> int:
               f"{speedup}")
     if args.profile:
         print()
-        print(runner.format_report())
-        print(f"cache: {runner.cache.stats()}")
+        if args.trace:
+            print(traced_report)
+        else:
+            print(runner.format_report())
+            print(f"cache: {runner.cache.stats()}")
     return 0
 
 

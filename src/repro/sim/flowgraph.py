@@ -48,11 +48,11 @@ class FlowGraph:
     def __len__(self):
         return len(self.records)
 
+    # -- reductions: each reads the one-pass summary -------------------
     @property
     def makespan(self) -> float:
-        return max((r.end for r in self.records), default=0.0)
+        return self.summary().makespan
 
-    # ------------------------------------------------------------------
     def kernel_envelopes(self) -> Dict[str, Tuple[float, float]]:
         """First start and last finish per kernel.
 
@@ -61,61 +61,67 @@ class FlowGraph:
         the overlap fraction is the quantitative signature of Figs. 10
         and 13.
         """
-        env: Dict[str, Tuple[float, float]] = {}
-        for r in self.records:
-            lo, hi = env.get(r.kernel, (r.start, r.end))
-            env[r.kernel] = (min(lo, r.start), max(hi, r.end))
-        return env
+        return self.summary().envelopes
 
     def kernel_overlap_fraction(self) -> float:
         """Fraction of kernel-envelope time shared with another kernel.
 
         0 ⇒ perfectly phased (BSP-like); towards 1 ⇒ fully pipelined.
         """
-        env = sorted(self.kernel_envelopes().values())
-        if len(env) < 2:
-            return 0.0
-        total = sum(hi - lo for lo, hi in env)
-        if total <= 0:
-            return 0.0
-        overlap = 0.0
-        for i, (lo1, hi1) in enumerate(env):
-            for lo2, hi2 in env[i + 1:]:
-                if lo2 >= hi1:
-                    break
-                overlap += max(0.0, min(hi1, hi2) - max(lo1, lo2))
-        return min(1.0, overlap / total)
+        return self.summary().overlap_fraction
 
     def core_busy_time(self) -> Dict[int, float]:
-        busy: Dict[int, float] = {}
-        for r in self.records:
-            busy[r.core] = busy.get(r.core, 0.0) + (r.end - r.start)
-        return busy
+        return self.summary().core_busy
 
     def utilization(self, n_cores: int) -> float:
         """Mean busy fraction over the makespan."""
-        span = self.makespan
-        if span <= 0:
-            return 0.0
-        return sum(self.core_busy_time().values()) / (span * n_cores)
+        return self.summary().utilization(n_cores)
 
     def iteration_spans(self) -> Dict[int, Tuple[float, float]]:
-        spans: Dict[int, Tuple[float, float]] = {}
-        for r in self.records:
-            lo, hi = spans.get(r.iteration, (r.start, r.end))
-            spans[r.iteration] = (min(lo, r.start), max(hi, r.end))
-        return spans
+        return self.summary().spans
 
     # ------------------------------------------------------------------
     def summary(self) -> "FlowSummary":
-        """Aggregate view of this trace (serializable, records dropped)."""
+        """Aggregate view of this trace (serializable, records dropped).
+
+        One walk over the records computes every reduction.  Per-core
+        busy sums accumulate in record order and keys appear in
+        first-seen order, so the results are exactly those of one walk
+        per reduction.
+        """
+        env: Dict[str, list] = {}
+        busy: Dict[int, float] = {}
+        spans: Dict[int, list] = {}
+        env_get = env.get
+        busy_get = busy.get
+        spans_get = spans.get
+        for _tid, kernel, core, start, end, iteration in self.records:
+            e = env_get(kernel)
+            if e is None:
+                env[kernel] = [start, end]
+            else:
+                if start < e[0]:
+                    e[0] = start
+                if end > e[1]:
+                    e[1] = end
+            busy[core] = busy_get(core, 0.0) + (end - start)
+            sp = spans_get(iteration)
+            if sp is None:
+                spans[iteration] = [start, end]
+            else:
+                if start < sp[0]:
+                    sp[0] = start
+                if end > sp[1]:
+                    sp[1] = end
+        envelopes = {k: (lo, hi) for k, (lo, hi) in env.items()}
         return FlowSummary(
             n_records=len(self.records),
-            makespan=self.makespan,
-            envelopes=self.kernel_envelopes(),
-            overlap_fraction=self.kernel_overlap_fraction(),
-            core_busy=self.core_busy_time(),
-            spans=self.iteration_spans(),
+            # The largest end is the largest envelope end.
+            makespan=max((hi for _, hi in env.values()), default=0.0),
+            envelopes=envelopes,
+            overlap_fraction=_overlap_fraction(envelopes),
+            core_busy=busy,
+            spans={i: (lo, hi) for i, (lo, hi) in spans.items()},
         )
 
     def to_dict(self) -> dict:
@@ -158,6 +164,23 @@ class FlowGraph:
                     row[x] = letters[r.kernel]
             lines.append(f"core {c:3d} |{''.join(row)}|")
         return "\n".join(lines)
+
+
+def _overlap_fraction(envelopes: Dict[str, Tuple[float, float]]) -> float:
+    """Fraction of kernel-envelope time shared with another kernel."""
+    env = sorted(envelopes.values())
+    if len(env) < 2:
+        return 0.0
+    total = sum(hi - lo for lo, hi in env)
+    if total <= 0:
+        return 0.0
+    overlap = 0.0
+    for i, (lo1, hi1) in enumerate(env):
+        for lo2, hi2 in env[i + 1:]:
+            if lo2 >= hi1:
+                break
+            overlap += max(0.0, min(hi1, hi2) - max(lo1, lo2))
+    return min(1.0, overlap / total)
 
 
 @dataclass

@@ -120,11 +120,17 @@ class Scheduler:
         memory: MemoryModel,
         seed: int = 0,
     ) -> None:
-        """Bind to one DAG and machine before a run."""
+        """Bind to one DAG and machine before a run.
+
+        ``seed`` is ignored here: a deterministic policy owns no RNG,
+        so a draw from one fails loudly.  A stochastic policy builds
+        its own generator from ``seed`` and must be listed in
+        :data:`repro.analysis.experiment.SEEDED_VERSIONS`, or cells
+        differing only in seed would share one result-cache entry.
+        """
         self.dag = dag
         self.machine = machine
         self.memory = memory
-        self.rng = np.random.default_rng(seed)
         self._queue = deque()
         self._dead_cores = set()
 
@@ -358,6 +364,7 @@ class HPXScheduler(Scheduler):
 
     def prepare(self, dag, machine, memory, seed=0):
         super().prepare(dag, machine, memory, seed)
+        self.rng = np.random.default_rng(seed)
         n_dom = machine.n_numa_domains if self.numa_aware else 1
         self._queues: List[List[int]] = [[] for _ in range(n_dom)]
         self._n_ready = 0

@@ -74,6 +74,25 @@ def test_results_in_input_order_with_dedupe(tmp_path):
     assert results[0].policy != results[1].policy  # bsp vs tasking
 
 
+def test_seed_sweep_simulates_each_distinct_cell_once(tmp_path):
+    # Only hpx draws randomness, so a seed sweep over all five versions
+    # is 4 seed-free cells plus one hpx cell per seed.
+    seeds = (0, 1, 2)
+    versions = ("libcsr", "libcsb", "deepsparse", "hpx", "regent")
+    cells = [c for s in seeds
+             for c in expand_grid(matrices=["inline1"], versions=versions,
+                                  block_counts=[16], iterations=1,
+                                  seed=s)]
+    runner = _runner(tmp_path)
+    results = runner.run_cells(cells)
+    assert len(results) == 15
+    assert sum(not r["cached"] for r in runner.report) == 7
+    by_cell = dict(zip(((c.version, c.seed) for c in cells), results))
+    for v in ("libcsr", "libcsb", "deepsparse", "regent"):
+        assert by_cell[v, 0] is by_cell[v, 1] is by_cell[v, 2]
+    assert len({id(by_cell["hpx", s]) for s in seeds}) == 3
+
+
 def test_second_run_is_served_from_cache(tmp_path):
     runner = _runner(tmp_path)
     first = runner.run_cells(CELLS)

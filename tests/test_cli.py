@@ -113,6 +113,36 @@ def test_chaos_rejects_unknown_spec(capsys):
     assert "unknown fault spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--matrix", "inline1", "Queen4147x"],
+    ["trace", "--matrix", "Queen4147x"],
+    ["prep", "build", "--matrix", "Queen4147x"],
+    ["chaos", "--matrix", "Queen4147x"],
+])
+def test_unknown_matrix_rejected_before_any_work(argv, capsys,
+                                                 monkeypatch):
+    import repro.analysis.experiment as experiment
+
+    def no_work(*_a, **_k):
+        raise AssertionError("simulation started for a bad --matrix")
+
+    monkeypatch.setattr(experiment, "run_version", no_work)
+    monkeypatch.setattr(experiment, "prebuild_prep", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'Queen4147x'" in err
+    assert "'Queen4147'" in err and "'inline1'" in err  # known names listed
+
+
+def test_bench_trace_profile_reports_traced_cells(tmp_path, capsys):
+    assert main(_bench_trace_args(tmp_path, 1) + ["--profile"]) == 0
+    out = capsys.readouterr().out
+    assert "2 traced cells:" in out and "jobs=1" in out
+    assert "0 unique cells" not in out
+
+
 def test_tune_command(capsys):
     assert main(["tune", "--matrix", "inline1", "--runtime", "deepsparse",
                  "--machine", "broadwell", "--solver", "lanczos"]) == 0

@@ -296,7 +296,7 @@ def test_bounded_queue_rejects_with_retry_after(tmp_path, monkeypatch):
                     p = c.submit_cell(machine="broadwell",
                                       matrix="inline1",
                                       solver="lanczos",
-                                      version="deepsparse",
+                                      version="hpx",
                                       block_count=16, iterations=1,
                                       seed=i)
                     with lock:

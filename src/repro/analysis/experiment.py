@@ -183,8 +183,8 @@ def prebuild_prep(machine_name: str, matrix: str, solver: str,
                   options=None) -> dict:
     """Ensure the prep artifact for one cell exists; returns its config.
 
-    Used by :class:`repro.bench.runner.ExperimentRunner` to build each
-    distinct artifact once in the parent before pool workers fan out,
+    Used by :class:`repro.bench.pool.WarmPool` to build each distinct
+    artifact once in the parent before cells reach worker processes,
     and by the ``repro prep build`` CLI.
     """
     machine = get_machine(machine_name)

@@ -9,9 +9,14 @@ the substrate all of them run through:
 * :mod:`repro.bench.prep` — the compiled-prep store: persisted census
   + DAG + access-plan artifacts, so cold sweeps build each distinct
   prep once and everything else (workers, later processes) loads it.
+* :mod:`repro.bench.pool` — :class:`WarmPool`: the one cell executor.
+  Every cell that is simulated (bench misses, traced sweeps, service
+  computations) runs through it, under one failure policy: bounded
+  in-flight cells, per-cell timeouts, retries, crash rebuilds, and the
+  parent-side prep prebuild.
 * :mod:`repro.bench.runner` — :class:`ExperimentRunner`: expands grid
-  specs, dedupes cells, serves hits from the cache, prebuilds prep
-  artifacts, and fans misses out over a process pool with
+  specs, dedupes cells, serves hits from the cache, runs the misses
+  through the pool, and caches each result as it finishes, with
   deterministic result ordering.
 
 Environment knobs (read at cache construction):
@@ -24,6 +29,7 @@ Environment knobs (read at cache construction):
 """
 
 from repro.bench.cache import ResultCache, cache_key, default_cache
+from repro.bench.pool import WarmPool, WorkerFailure
 from repro.bench.prep import PrepStore, default_prep_store
 from repro.bench.runner import (
     Cell,
@@ -32,7 +38,6 @@ from repro.bench.runner import (
     ExperimentRunner,
     REGENT_BLOCK_COUNT,
     SweepError,
-    WorkerFailure,
     expand_grid,
     run_cell_config,
 )
@@ -46,6 +51,7 @@ __all__ = [
     "REGENT_BLOCK_COUNT",
     "ResultCache",
     "SweepError",
+    "WarmPool",
     "WorkerFailure",
     "cache_key",
     "default_cache",

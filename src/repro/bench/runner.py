@@ -5,10 +5,12 @@
 1. expand a grid spec into cells (:func:`expand_grid`),
 2. dedupe identical cells,
 3. serve what the on-disk cache already has,
-4. fan the misses out over a ``ProcessPoolExecutor`` (the simulator is
-   pure Python and CPU-bound, so *processes*, not threads, are the
-   right parallelism — the GIL serializes threads),
-5. persist fresh summaries and return results in input order.
+4. run the misses through one :class:`~repro.bench.pool.WarmPool`
+   (worker processes for ``jobs > 1``: the simulator is pure Python
+   and CPU-bound, so *processes*, not threads, are the right
+   parallelism — the GIL serializes threads),
+5. persist each fresh summary as it finishes and return results in
+   input order.
 
 Result ordering is deterministic and independent of ``jobs``: cells
 are keyed, executed by key order of first appearance, and re-assembled
@@ -20,17 +22,15 @@ from __future__ import annotations
 
 import contextlib
 import io
-import math
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.experiment import SEEDED_VERSIONS
 from repro.bench.cache import ResultCache, default_cache
+from repro.bench.pool import WarmPool, WorkerFailure
 from repro.sim.engine import RunResultSummary
 
 __all__ = [
@@ -140,32 +140,13 @@ def stderr_tail(text: str, lines: int = STDERR_TAIL_LINES,
     return tail[-chars:]
 
 
-class WorkerFailure(RuntimeError):
-    """A cell failed in a worker; carries the captured stderr tail.
-
-    Raised by :func:`_pool_worker` instead of the original exception so
-    the parent's failure table (and the serve layer's audit log) can
-    show *what the worker printed* — warnings and the full traceback —
-    not just the exception repr.  Both fields sit in ``args`` so the
-    exception pickles across a ``ProcessPoolExecutor`` intact.
-    """
-
-    def __init__(self, error: str, stderr_tail: str = ""):
-        super().__init__(error, stderr_tail)
-        self.error = error
-        self.stderr_tail = stderr_tail
-
-    def __str__(self) -> str:
-        return self.error
-
-
 def _pool_worker(config: dict) -> tuple:
-    """Child-process entry: plain dicts in, plain dicts out (picklable).
+    """The pool's cell worker: plain dicts in, plain dicts out (picklable).
 
     The cell runs under stderr capture; on failure the exception is
     re-raised as a :class:`WorkerFailure` whose tail holds whatever the
     cell wrote to stderr plus the formatted traceback — the parent
-    process cannot see a pool child's stderr otherwise.
+    process cannot see a worker process's stderr otherwise.
     """
     t0 = time.perf_counter()
     buf = io.StringIO()
@@ -201,6 +182,20 @@ class SweepError(RuntimeError):
                 lines.append(f"      stderr| {tail_line}")
         super().__init__("\n".join(lines))
 
+    @classmethod
+    def check(cls, labels: Sequence[str], keys: Sequence[Optional[str]],
+              outcomes: Sequence, attempts: int) -> None:
+        """Raise for every :class:`WorkerFailure` among ``outcomes``
+        (one per cell, as :meth:`WarmPool.run_all` returns them)."""
+        failures = [
+            {"cell": label, "key": key, "attempts": attempts,
+             "error": out.error, "stderr": out.stderr_tail}
+            for label, key, out in zip(labels, keys, outcomes)
+            if isinstance(out, WorkerFailure)
+        ]
+        if failures:
+            raise cls(failures)
+
 
 class ExperimentRunner:
     """Expand → dedupe → cache-check → (parallel) simulate → report.
@@ -212,18 +207,18 @@ class ExperimentRunner:
         Pass ``ResultCache(enabled=False)`` to force cold runs.
     jobs:
         Worker processes for cache misses.  ``1`` (default, or
-        ``$REPRO_BENCH_JOBS``) runs inline — no pool, no pickling.
+        ``$REPRO_BENCH_JOBS``) runs in this process — no fork, no
+        pickling.
         ``0`` auto-detects: one worker per available CPU
         (``os.cpu_count()``).
     progress:
         Optional callable invoked with one line per completed cell.
     timeout:
-        Per-cell wall-clock budget in seconds for pool execution
-        (``None`` = unlimited).  Scaled by the batch size per worker,
-        it bounds how long a wedged worker can hold the sweep; expired
-        cells are retried, then reported in the failure table.  Inline
-        execution cannot preempt a cell, so the timeout only applies
-        when a pool is used.
+        Per-cell wall-clock budget in seconds for worker processes
+        (``None`` = unlimited), counted from the moment the cell gets a
+        worker; expired cells are retried, then reported in the
+        failure table.  Inline execution cannot preempt a cell, so the
+        timeout only applies when worker processes are used.
     attempts:
         Total tries per cell (default 2: one run + one retry) before
         the cell lands in the failure table.
@@ -236,12 +231,6 @@ class ExperimentRunner:
         against crashing/hanging workers; everything else should keep
         the default.
     """
-
-    #: A crashed pool (a worker died, poisoning every queued future) is
-    #: rebuilt and the affected cells resubmitted — without charging
-    #: them a retry, since the crash cannot be attributed to one cell —
-    #: at most this many times before degrading to inline execution.
-    max_pool_rebuilds = 3
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  jobs: Optional[int] = None,
@@ -306,245 +295,42 @@ class ExperimentRunner:
                 miss_keys.append(key)
 
         if miss_keys:
-            if self.jobs > 1 and len(miss_keys) > 1:
-                self._prebuild_prep(miss_keys, configs)
             self._run_misses(miss_keys, configs, labels, results)
 
         self.total_seconds = time.perf_counter() - t_start
         return [results[k] for k in keys]
 
-    def _prebuild_prep(self, miss_keys, configs) -> None:
-        """Build each distinct prep artifact once before the fan-out.
-
-        Different cells (versions, iteration counts, seeds) share prep
-        subkeys, so building in the parent means pool workers *load*
-        the census/DAG/compiled plans instead of each rebuilding them.
-        Repeats are free (the in-process dag memo absorbs them), a
-        disabled store makes this a no-op, and a prebuild failure is
-        swallowed — the cell's ordinary run will surface it with the
-        full retry machinery.
-        """
-        from repro.analysis.experiment import prebuild_prep
-        from repro.bench.prep import default_prep_store
-
-        store = default_prep_store()
-        if not store.enabled:
-            return
-        t0 = time.perf_counter()
-        built = set()
-        for key in miss_keys:
-            c = configs[key]
-            try:
-                pc = prebuild_prep(
-                    c["machine"], c["matrix"], c["solver"], c["version"],
-                    block_count=int(c.get("block_count") or 64),
-                    width=c.get("width"),
-                    first_touch=bool(c.get("first_touch", True)),
-                )
-            except Exception as e:
-                self._note(f"[prep]  skipped ({type(e).__name__}: {e})")
-                continue
-            built.add(store.key(pc))
-        if built:
-            self._note(
-                f"[prep]  {len(built)} artifact(s) ready in "
-                f"{time.perf_counter() - t0:.2f} s"
-            )
-
     def _run_misses(self, miss_keys, configs, labels, results) -> None:
-        """Simulate the cache misses, surviving sick workers.
+        """Simulate the cache misses through one :class:`WarmPool`.
 
-        Three layers of degradation, so one bad cell or one dead
-        worker never loses a whole sweep:
-
-        1. cells whose worker raised or timed out are retried with
-           exponential backoff, up to ``attempts`` tries each;
-        2. a crashed pool (``BrokenProcessPool``) is rebuilt and the
-           poisoned cells resubmitted, up to ``max_pool_rebuilds``;
-        3. if the pool stays unhealthy, the leftovers run inline,
-           sequentially, in this process.
-
-        Only cells that exhaust their attempts end up in the
-        :class:`SweepError` failure table — everything else was
-        simulated and cached before the raise.
+        Worker processes only pay off for two or more misses, so a
+        single miss (or ``jobs=1``) runs in-process.  The pool retries
+        failed cells, kills wedged workers and rebuilds crashed pools;
+        only cells that exhaust their attempts end up in the
+        :class:`SweepError` failure table — everything else was cached
+        as it finished, before the raise.
         """
-        attempt_count: Dict[str, int] = {k: 0 for k in miss_keys}
-        failures: Dict[str, tuple] = {}  # key -> (error, stderr tail)
-        pending = list(miss_keys)
-        if self.jobs > 1 and len(pending) > 1:
-            pending = self._run_pool(pending, attempt_count, failures,
-                                     configs, labels, results)
-        self._run_inline(pending, attempt_count, failures,
-                         configs, labels, results)
-        if failures:
-            raise SweepError([
-                {"cell": labels[k], "key": k,
-                 "attempts": attempt_count[k],
-                 "error": failures[k][0], "stderr": failures[k][1]}
-                for k in miss_keys if k in failures
-            ])
+        pool = WarmPool(self.pool_worker,
+                        jobs=(self.jobs if self.jobs > 1
+                              and len(miss_keys) > 1 else 0),
+                        timeout=self.timeout, attempts=self.attempts,
+                        backoff=self.backoff, progress=self.progress)
 
-    @staticmethod
-    def _failure_fields(exc: BaseException) -> tuple:
-        """(error text, stderr tail) of a worker exception.
+        def done(index: int, out: tuple) -> None:
+            key = miss_keys[index]
+            summary_dict, dt = out
+            summary = RunResultSummary.from_dict(summary_dict)
+            self.cache.put(configs[key], summary)
+            results[key] = summary
+            self.report.append({
+                "cell": labels[key], "key": key,
+                "cached": False, "seconds": dt,
+            })
+            self._note(f"[run]   {labels[key]} ({dt:.2f} s)")
 
-        :class:`WorkerFailure` carries its own captured tail; anything
-        else (injected test workers, pickling errors) degrades to the
-        plain exception repr with an empty tail.
-        """
-        if isinstance(exc, WorkerFailure):
-            return exc.error, exc.stderr_tail
-        return f"{type(exc).__name__}: {exc}", ""
-
-    def _fail_or_requeue(self, key, exc_text, attempt_count, failures,
-                         next_pending, stderr: str = "") -> None:
-        attempt_count[key] += 1
-        if attempt_count[key] >= self.attempts:
-            failures[key] = (exc_text, stderr)
-        else:
-            next_pending.append(key)
-
-    @staticmethod
-    def _kill_pool(pool) -> None:
-        """Tear a pool down even if its workers are wedged.
-
-        ``shutdown`` alone waits for running tasks; a cell stuck in an
-        infinite loop would hold the sweep forever, so the worker
-        processes are terminated first (``_processes`` is private API,
-        but the stdlib offers no public kill switch).
-        """
-        procs = getattr(pool, "_processes", None) or {}
-        for p in list(procs.values()):
-            try:
-                p.terminate()
-            except OSError:
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-    def _run_pool(self, pending, attempt_count, failures,
-                  configs, labels, results) -> List[str]:
-        """Pool execution rounds; returns cells left for inline."""
-        rebuilds = 0
-        rounds = 0
-        pool = None
-        try:
-            while pending:
-                if pool is None:
-                    try:
-                        pool = ProcessPoolExecutor(max_workers=self.jobs)
-                    except OSError:
-                        return pending  # can't fork: degrade to inline
-                if rounds and self.backoff:
-                    time.sleep(self.backoff * 2 ** min(rounds - 1, 4))
-                rounds += 1
-                futs = {
-                    pool.submit(self.pool_worker, configs[k]): k
-                    for k in pending
-                }
-                next_pending: List[str] = []
-                deadline = None
-                if self.timeout is not None:
-                    # Per-cell budget scaled by queue depth per worker:
-                    # a full batch legitimately takes n/jobs cell-times.
-                    batches = max(1, math.ceil(len(pending) / self.jobs))
-                    deadline = time.monotonic() + self.timeout * batches
-                not_done = set(futs)
-                broken = False
-                while not_done:
-                    budget = None
-                    if deadline is not None:
-                        budget = max(0.0, deadline - time.monotonic())
-                    done, not_done = wait(not_done, timeout=budget)
-                    if not done:
-                        # Batch deadline expired: whatever is still
-                        # running is wedged.  Kill the pool, charge the
-                        # unfinished cells one attempt each.
-                        for f in not_done:
-                            f.cancel()
-                            self._fail_or_requeue(
-                                futs[f],
-                                f"timed out (> {self.timeout:.1f} s/cell)",
-                                attempt_count, failures, next_pending,
-                            )
-                        self._kill_pool(pool)
-                        pool = None
-                        broken = True
-                        break
-                    for f in done:
-                        key = futs[f]
-                        try:
-                            summary_dict, dt = f.result()
-                        except BrokenProcessPool:
-                            # A worker died; every queued future is
-                            # poisoned and none of them is to blame.
-                            # Requeue without charging an attempt.
-                            next_pending.append(key)
-                            broken = True
-                        except Exception as e:  # clean worker failure
-                            text, tail = self._failure_fields(e)
-                            self._fail_or_requeue(
-                                key, text, attempt_count, failures,
-                                next_pending, stderr=tail,
-                            )
-                        else:
-                            summary = RunResultSummary.from_dict(
-                                summary_dict
-                            )
-                            self._finish_miss(key, configs, labels,
-                                              results, summary, dt)
-                if broken and pool is not None:
-                    self._kill_pool(pool)
-                    pool = None
-                if broken:
-                    rebuilds += 1
-                    if rebuilds > self.max_pool_rebuilds:
-                        self._note(
-                            "[pool]  unhealthy after "
-                            f"{rebuilds - 1} rebuilds; degrading to "
-                            "inline execution"
-                        )
-                        return next_pending
-                pending = next_pending
-            return []
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _run_inline(self, pending, attempt_count, failures,
-                    configs, labels, results) -> None:
-        """Sequential in-process execution with the same retry rules."""
-        for key in pending:
-            while True:
-                try:
-                    summary_dict, dt = self.pool_worker(configs[key])
-                    summary = RunResultSummary.from_dict(summary_dict)
-                except Exception as e:
-                    attempt_count[key] += 1
-                    if attempt_count[key] >= self.attempts:
-                        failures[key] = self._failure_fields(e)
-                        break
-                    if self.backoff:
-                        time.sleep(
-                            self.backoff
-                            * 2 ** min(attempt_count[key] - 1, 4)
-                        )
-                    continue
-                self._finish_miss(key, configs, labels, results,
-                                  summary, dt)
-                break
-
-    def _finish_miss(self, key, configs, labels, results, summary,
-                     dt) -> None:
-        self.cache.put(configs[key], summary)
-        results[key] = summary
-        self.report.append({
-            "cell": labels[key], "key": key,
-            "cached": False, "seconds": dt,
-        })
-        self._note(f"[run]   {labels[key]} ({dt:.2f} s)")
+        outcomes = pool.run_all([configs[k] for k in miss_keys], done)
+        SweepError.check([labels[k] for k in miss_keys], miss_keys,
+                         outcomes, pool.attempts)
 
     # ------------------------------------------------------------------
     def run_grid(self, **grid) -> List[RunResultSummary]:

@@ -109,8 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "simulation, persist nothing)")
     s.add_argument("--timeout", type=float, default=None,
                    help="per-cell wall-clock budget in seconds when "
-                        "running with a worker pool; wedged cells are "
-                        "killed, retried, then reported")
+                        "running with worker processes (--jobs > 1), "
+                        "counted from the moment a cell gets a worker; "
+                        "wedged cells are killed, retried, then "
+                        "reported")
     s.add_argument("--retries", type=int, default=1,
                    help="extra attempts per failed cell before it "
                         "lands in the failure table (default 1)")
@@ -120,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trace", metavar="DIR", default=None,
                    help="run every cell with the observability layer "
                         "attached and write a Chrome trace + metrics "
-                        "CSV per cell into DIR (runs in-process and "
-                        "bypasses the result cache; simulated numbers "
-                        "are bit-identical to untraced runs)")
+                        "CSV per cell into DIR (bypasses the result "
+                        "cache; simulated numbers are bit-identical to "
+                        "untraced runs)")
 
     s = sub.add_parser(
         "chaos",
@@ -232,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--backlog", type=int, default=64,
                    help="max distinct pending computations before "
                         "single-cell submits get 429 + Retry-After")
-    s.add_argument("--batch-max", type=int, default=8,
-                   help="dispatcher batch size (coalesces prep "
-                        "prebuilds across queued cells)")
     s.add_argument("--timeout", type=float, default=None,
                    help="per-cell wall budget in the pool, seconds")
     s.add_argument("--attempts", type=int, default=2)
@@ -412,25 +411,26 @@ def _trace_cell_artifacts(out_dir, label, tracer, events=None):
     return trace_path, metrics_path, table
 
 
-def _traced_bench_cell(cell_fields: dict, label: str, out_dir: str):
+def _traced_bench_cell(job: dict):
     """Run one traced bench cell and write its artifacts.
 
-    Module-level so ``bench --trace --jobs N`` can ship it to a
-    :class:`~concurrent.futures.ProcessPoolExecutor` worker; artifacts
-    are written in the worker (they can be large), and only the
-    serializable run summary travels back for the results table.
+    Module-level so ``bench --trace --jobs N`` can ship it to a pool
+    worker process; artifacts are written in the worker (they can be
+    large), and only the serializable run summary travels back for the
+    results table.  ``job`` holds the cell fields plus the artifact
+    ``label`` and ``out_dir``.
     """
     from repro.analysis.experiment import run_version
     from repro.trace import Tracer
 
     tracer = Tracer()
     res = run_version(
-        cell_fields["machine"], cell_fields["matrix"],
-        cell_fields["solver"], cell_fields["version"],
-        block_count=cell_fields["block_count"],
-        iterations=cell_fields["iterations"], tracer=tracer,
+        job["machine"], job["matrix"], job["solver"], job["version"],
+        block_count=job["block_count"], iterations=job["iterations"],
+        tracer=tracer,
     )
-    trace_path, _, _ = _trace_cell_artifacts(out_dir, label, tracer)
+    trace_path, _, _ = _trace_cell_artifacts(job["out_dir"], job["label"],
+                                             tracer)
     return res.summary(), trace_path
 
 
@@ -542,9 +542,53 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
+def _traced_sweep(cells, runner, args):
+    """Traced grid: one Chrome trace + metrics CSV per cell.
+
+    The result cache is bypassed (a trace needs a live simulation) and
+    so is the runner's dedupe, which would change which artifacts get
+    written; cells go straight to the runner's pool policy.  With
+    ``--jobs > 1`` each worker process writes its own artifacts (trace
+    content is simulated time, so the output is byte-identical to a
+    sequential run).  Returns ``(summaries, report line)``.
+    """
     import time
 
+    from repro.bench import SweepError
+    from repro.bench.pool import WarmPool
+
+    labels = [cell.label().replace("/", "-").replace("@", "-bc")
+              for cell in cells]
+    work = [
+        {"machine": cell.machine, "matrix": cell.matrix,
+         "solver": cell.solver, "version": cell.version,
+         "block_count": cell.block_count, "iterations": cell.iterations,
+         "label": label, "out_dir": args.trace}
+        for cell, label in zip(cells, labels)
+    ]
+    t0 = time.perf_counter()
+    n_workers = (min(runner.jobs, len(cells))
+                 if runner.jobs > 1 and len(cells) > 1 else 1)
+    pool = WarmPool(_traced_bench_cell,
+                    jobs=n_workers if n_workers > 1 else 0,
+                    timeout=runner.timeout, attempts=runner.attempts,
+                    backoff=runner.backoff)
+    traced = pool.run_all(work)
+    SweepError.check([cell.label() for cell in cells],
+                     [None] * len(cells), traced, pool.attempts)
+    results = []
+    for cell, (summary, trace_path) in zip(cells, traced):
+        if args.profile:
+            print(f"traced {cell.label()} -> {trace_path}")
+        results.append(summary)
+    # Traced cells bypass the runner, so its cache report would read
+    # "0 unique cells"; report the traced sweep itself.
+    return results, (f"{len(cells)} traced cells: "
+                     f"{time.perf_counter() - t0:.2f} s wall, "
+                     f"jobs={n_workers} (result cache bypassed)")
+
+
+def _cmd_bench(args) -> int:
     from repro.bench import (
         DEFAULT_MATRICES,
         ExperimentRunner,
@@ -566,56 +610,19 @@ def _cmd_bench(args) -> int:
         block_counts=args.block_count,
         iterations=args.iterations,
     )
-    if args.trace:
-        # Traced grid: cache bypassed (a trace needs a live simulation),
-        # one Chrome trace + metrics CSV per cell.  With --jobs > 1 the
-        # cells fan out across a process pool; each worker writes its
-        # own artifacts (trace content is simulated time, so the output
-        # is byte-identical to a sequential run).
-        work = [
-            ({"machine": cell.machine, "matrix": cell.matrix,
-              "solver": cell.solver, "version": cell.version,
-              "block_count": cell.block_count,
-              "iterations": cell.iterations},
-             cell.label().replace("/", "-").replace("@", "-bc"))
-            for cell in cells
-        ]
-        t0 = time.perf_counter()
-        n_workers = 1
-        if runner.jobs > 1 and len(cells) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            n_workers = min(runner.jobs, len(cells))
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                futures = [
-                    pool.submit(_traced_bench_cell, fields, label,
-                                args.trace)
-                    for fields, label in work
-                ]
-                traced = [f.result() for f in futures]
+    try:
+        if args.trace:
+            results, traced_report = _traced_sweep(cells, runner, args)
         else:
-            traced = [_traced_bench_cell(fields, label, args.trace)
-                      for fields, label in work]
-        # Traced cells bypass the runner, so its cache report would
-        # read "0 unique cells"; report the traced sweep itself.
-        traced_report = (f"{len(cells)} traced cells: "
-                         f"{time.perf_counter() - t0:.2f} s wall, "
-                         f"jobs={n_workers} (result cache bypassed)")
-        results = []
-        for cell, (summary, trace_path) in zip(cells, traced):
-            if args.profile:
-                print(f"traced {cell.label()} -> {trace_path}")
-            results.append(summary)
-    else:
-        try:
             results = runner.run_cells(cells)
-        except SweepError as e:
-            # Partial failure: everything that did simulate is cached;
-            # print the failure table and exit non-zero so CI notices.
-            print(str(e), file=sys.stderr)
-            if args.profile:
-                print(runner.format_report(), file=sys.stderr)
-            return 1
+    except SweepError as e:
+        # Partial failure: every cell that did simulate is cached (or,
+        # traced, has its artifacts written); print the failure table
+        # and exit non-zero so CI notices.
+        print(str(e), file=sys.stderr)
+        if args.profile and not args.trace:
+            print(runner.format_report(), file=sys.stderr)
+        return 1
 
     # Results table: per (machine, matrix, solver) group, speedup over
     # the libcsr baseline when it is part of the grid.
@@ -715,7 +722,6 @@ def _cmd_serve(args) -> int:
 
     config = ServeConfig(host=args.host, port=args.port,
                          jobs=args.jobs, backlog=args.backlog,
-                         batch_max=args.batch_max,
                          timeout=args.timeout, attempts=args.attempts,
                          audit_path=args.audit)
 

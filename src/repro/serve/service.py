@@ -14,7 +14,7 @@ Request lifecycle (``POST /v1/cell``)::
         |            |               |                    |
         400       200 "cache"   200 "coalesced"      429 if >= backlog
                                                           |
-                            dispatcher batch -> prep prebuild -> pool
+                                  WarmPool.run (prep prebuild, slot, worker)
                                                           |
                                       cache.put -> 200 "computed" (all
                                       coalesced waiters resolve together)
@@ -28,11 +28,13 @@ Request lifecycle (``POST /v1/cell``)::
   429 plus a ``Retry-After`` estimate.  Sweeps opt into waiting
   (``wait=True`` internally) instead of failing — a sweep is one
   client prepared to sit on the connection.
-* **Cache-aware coalescing**: the dispatcher drains the queue in small
-  batches and prebuilds each distinct prep artifact once (in the
-  parent, via :func:`~repro.analysis.experiment.prebuild_prep`) before
-  fanning cells to the warm pool — workers load census/DAG/plans from
-  the prep store instead of rebuilding them per cell.
+* **One executor**: every admitted computation goes to the same
+  :class:`~repro.bench.pool.WarmPool` that runs ``repro bench`` cells,
+  with the same failure policy — at most ``max(1, jobs)`` cells in
+  flight, a per-cell timeout counted from the moment a cell gets a
+  worker, and, with worker processes, each distinct prep artifact
+  built once in the parent so workers load census/DAG/plans instead
+  of rebuilding them per cell.
 * **Drain contract** (SIGTERM/SIGINT): stop admitting (503
   ``draining``), finish everything already admitted, flush and publish
   the audit log, close the pool, exit 0.
@@ -49,17 +51,19 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.bench.cache import ResultCache
+from repro.bench.pool import WarmPool, WorkerFailure
 from repro.bench.runner import (
     Cell,
     DEFAULT_BLOCK_COUNT,
     REGENT_BLOCK_COUNT,
-    WorkerFailure,
+    _pool_worker,
     expand_grid,
 )
 from repro.serve.http import (
@@ -69,7 +73,6 @@ from repro.serve.http import (
     json_response,
 )
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.pool import WarmPool, serve_worker
 from repro.sim.cost import COST_MODEL_VERSION
 from repro.sim.engine import RunResultSummary
 from repro.trace.events import EVENT_KINDS
@@ -120,6 +123,21 @@ class AuditEvent(NamedTuple):
 
 # Let read_jsonl() round-trip audit files like any other event stream.
 EVENT_KINDS.setdefault("audit", AuditEvent)
+
+
+def serve_worker(config: dict) -> tuple:
+    """Per-request worker entry (module-level: must pickle).
+
+    Delegates to the bench pool worker — same stderr capture, same
+    :class:`WorkerFailure` contract — after an optional artificial
+    delay.  ``REPRO_SERVE_TEST_DELAY`` (seconds) exists so the
+    concurrency tests and the drain test can hold a request in flight
+    deterministically; it is never set in production.
+    """
+    delay = float(os.environ.get("REPRO_SERVE_TEST_DELAY", "0") or 0.0)
+    if delay > 0:
+        time.sleep(delay)
+    return _pool_worker(config)
 
 
 def _require_int(doc: dict, name: str, default, minimum: int,
@@ -239,7 +257,6 @@ class ServeConfig:
     port: int = 8477          # 0 = ephemeral (the bound port is reported)
     jobs: int = 0             # 0 = inline worker threads (no fork)
     backlog: int = 64         # max distinct pending computations
-    batch_max: int = 8        # dispatcher batch size (prep coalescing)
     timeout: Optional[float] = None   # per-cell pool budget, seconds
     attempts: int = 2
     backoff: float = 0.25
@@ -248,14 +265,6 @@ class ServeConfig:
     max_sweep_cells: int = 1024
     worker: Callable[[dict], tuple] = field(default=serve_worker,
                                             repr=False)
-
-
-class _Pending(NamedTuple):
-    """One admitted computation travelling queue -> pool."""
-
-    key: str
-    config: dict
-    future: asyncio.Future
 
 
 class JsonDaemonBase:
@@ -359,7 +368,7 @@ class JsonDaemonBase:
 
 
 class SimulationService(JsonDaemonBase):
-    """The daemon: routes, queue, single-flight table, dispatcher."""
+    """The daemon: routes, admission, single-flight table."""
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
@@ -369,26 +378,21 @@ class SimulationService(JsonDaemonBase):
 
             self.cache = default_cache()
         self.metrics = ServiceMetrics()
-        self.pool = WarmPool(jobs=self.config.jobs,
+        self.pool = WarmPool(self.config.worker,
+                             jobs=self.config.jobs,
                              timeout=self.config.timeout,
                              attempts=self.config.attempts,
                              backoff=self.config.backoff,
-                             worker=self.config.worker,
                              metrics=self.metrics)
         self._init_daemon()
         self._inflight: Dict[str, asyncio.Future] = {}
-        self._queue: asyncio.Queue = asyncio.Queue()
         self._space = asyncio.Condition()
         self._pending_compute = 0
-        self._dispatcher: Optional[asyncio.Task] = None
         self._compute_tasks: set = set()
-        self._sem = asyncio.Semaphore(max(1, self.config.jobs))
-        self._prebuilt: set = set()
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
         self.pool.start()
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
         await self._start_server()
 
     async def drain(self) -> None:
@@ -404,7 +408,7 @@ class SimulationService(JsonDaemonBase):
         async with self._space:
             self._space.notify_all()   # wake queued sweep admissions
         # Everything admitted before the flag flipped must finish —
-        # including cells still sitting in the dispatcher queue.
+        # including cells still waiting for a pool slot.
         while self._inflight:
             await asyncio.gather(*list(self._inflight.values()),
                                  return_exceptions=True)
@@ -412,12 +416,6 @@ class SimulationService(JsonDaemonBase):
         # responses and audit lines before the sink closes.
         while self._active_requests:
             await asyncio.sleep(0.01)
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
         if self._compute_tasks:
             await asyncio.gather(*list(self._compute_tasks),
                                  return_exceptions=True)
@@ -478,7 +476,9 @@ class SimulationService(JsonDaemonBase):
         fut.add_done_callback(
             lambda f: f.exception() if not f.cancelled() else None)
         self._inflight[key] = fut
-        self._queue.put_nowait(_Pending(key, config, fut))
+        task = asyncio.create_task(self._compute(key, config, fut))
+        self._compute_tasks.add(task)
+        task.add_done_callback(self._compute_tasks.discard)
         self.metrics.note_queue_depth(self._pending_compute)
         return await self._await_result(key, fut, "computed")
 
@@ -527,74 +527,24 @@ class SimulationService(JsonDaemonBase):
         lanes = max(1, self.config.jobs)
         return round(max(0.1, self._pending_compute * mean / lanes), 2)
 
-    # -- dispatcher / computation --------------------------------------
-    async def _dispatch_loop(self) -> None:
-        while True:
-            batch = [await self._queue.get()]
-            while len(batch) < self.config.batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            await self._prebuild_batch(batch)
-            for item in batch:
-                task = asyncio.create_task(self._compute(item))
-                self._compute_tasks.add(task)
-                task.add_done_callback(self._compute_tasks.discard)
-
-    async def _prebuild_batch(self, batch) -> None:
-        """Build each distinct prep artifact of the batch once, here.
-
-        The cache-aware half of batching: cells sharing a decomposition
-        (same matrix/block size/solver/options) share a prep artifact,
-        so the parent builds it once and every pool worker *loads* it.
-        Only worth the thread hop when real worker processes exist, and
-        a failure is deliberately swallowed — the cell's own run will
-        surface it through the retry machinery with full diagnostics.
-        """
-        if self.config.jobs <= 0:
+    # -- computation ---------------------------------------------------
+    async def _compute(self, key: str, config: dict,
+                       fut: asyncio.Future) -> None:
+        try:
+            summary_dict, dt = await self.pool.run(config)
+        except Exception as e:
+            await self._release_slot()
+            self._inflight.pop(key, None)
+            if not fut.done():
+                fut.set_exception(e)
             return
-        from repro.analysis.experiment import prebuild_prep
-        from repro.bench.prep import default_prep_store
-
-        if not default_prep_store().enabled:
-            return
-        for item in batch:
-            c = item.config
-            sig = (c["machine"], c["matrix"], c["solver"], c["version"],
-                   c.get("block_count"), c.get("width"),
-                   c.get("first_touch", True))
-            if sig in self._prebuilt:
-                continue
-            self._prebuilt.add(sig)
-            try:
-                await asyncio.to_thread(
-                    prebuild_prep, c["machine"], c["matrix"],
-                    c["solver"], c["version"],
-                    block_count=int(c.get("block_count") or 64),
-                    width=c.get("width"),
-                    first_touch=bool(c.get("first_touch", True)),
-                )
-            except Exception:
-                self._prebuilt.discard(sig)
-
-    async def _compute(self, item: _Pending) -> None:
-        async with self._sem:
-            try:
-                summary_dict, dt = await self.pool.run(item.config)
-            except Exception as e:
-                await self._release_slot()
-                self._inflight.pop(item.key, None)
-                if not item.future.done():
-                    item.future.set_exception(e)
-                return
         summary = RunResultSummary.from_dict(summary_dict)
-        self.cache.put(item.config, summary)
+        self.cache.put(config, summary)
         self.metrics.count_computation(dt)
         await self._release_slot()
-        self._inflight.pop(item.key, None)
-        if not item.future.done():
-            item.future.set_result(summary)
+        self._inflight.pop(key, None)
+        if not fut.done():
+            fut.set_result(summary)
 
     # -- HTTP layer ----------------------------------------------------
     async def _route(self, req: Request) -> tuple:
@@ -648,7 +598,7 @@ class SimulationService(JsonDaemonBase):
     def metrics_payload(self) -> dict:
         snap = self.metrics.snapshot()
         snap["queue"] = {
-            "depth": self._queue.qsize(),
+            "depth": self.pool.waiting,
             "pending_compute": self._pending_compute,
             "backlog": self.config.backlog,
             "high_water": self.metrics.queue_high_water,

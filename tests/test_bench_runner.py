@@ -371,6 +371,28 @@ def test_pool_timeout_kills_wedged_workers(tmp_path):
     assert all("timed out" in f["error"] for f in ei.value.failures)
 
 
+def _hang_unless_libcsr(config):
+    if config["version"] != "libcsr":
+        time.sleep(3600)
+    return _pool_worker(config)
+
+
+def test_timeout_charges_only_the_wedged_cells(tmp_path):
+    """A cell's timeout starts when it gets a worker: a healthy cell
+    queued behind two wedged ones still runs and is cached, and only
+    the wedged cells are reported as timed out."""
+    wedged_first = [CELLS[1], CELLS[2], CELLS[0]]
+    runner = _runner(tmp_path, jobs=2, timeout=2.0, attempts=1,
+                     backoff=0.0, pool_worker=_hang_unless_libcsr)
+    with pytest.raises(SweepError) as ei:
+        runner.run_cells(wedged_first)
+    failures = ei.value.failures
+    assert [f["cell"] for f in failures] == [CELLS[1].label(),
+                                             CELLS[2].label()]
+    assert all("timed out" in f["error"] for f in failures)
+    assert runner.cache.get(CELLS[0].config()) is not None
+
+
 def test_quarantine_counter_surfaces_in_report(tmp_path):
     runner = _runner(tmp_path)
     runner.run_cells(CELLS[:1])

@@ -293,20 +293,22 @@ def test_prebuild_prep_writes_shareable_artifact(tmp_path, monkeypatch):
 
 
 def test_runner_prebuilds_before_fanout(tmp_path, monkeypatch):
-    """The runner's pre-fan-out hook builds each artifact in the parent."""
+    """With worker processes, the pool builds each artifact once in the
+    parent before the cells fan out; the workers only load it."""
     monkeypatch.setenv("REPRO_PREP_DIR", str(tmp_path / "prep"))
     monkeypatch.delenv("REPRO_NO_PREP", raising=False)
     _clear_experiment_memos()
     store = default_prep_store()
     runner = ExperimentRunner(cache=ResultCache(enabled=False), jobs=2)
+    # Two HPX seeds: two distinct cells (two misses) on one prep subkey.
     cells = [
-        Cell("broadwell", "inline1", "lobpcg", "deepsparse",
+        Cell("broadwell", "inline1", "lobpcg", "hpx",
              block_count=16, iterations=1, seed=s)
         for s in (0, 1)
     ]
-    configs = {f"k{i}": c.config() for i, c in enumerate(cells)}
-    runner._prebuild_prep(list(configs), configs)
-    # Both cells share one prep subkey -> exactly one artifact written.
+    runner.run_cells(cells)
+    assert [r["cached"] for r in runner.report] == [False, False]
+    # Built once, here; no worker had to write a second copy.
     assert store.writes == 1
     assert len(store.entries()) == 1
 

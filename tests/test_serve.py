@@ -16,7 +16,7 @@ concurrency (threaded clients against a live loopback server):
   the worker's captured stderr tail.
 
 ``REPRO_SERVE_TEST_DELAY`` (an artificial per-cell delay honored by
-:func:`repro.serve.pool.serve_worker`) makes "while a request is in
+:func:`repro.serve.service.serve_worker`) makes "while a request is in
 flight" a deterministic state instead of a ~30 ms race window.
 """
 
@@ -34,7 +34,7 @@ import time
 import pytest
 
 from repro.bench.cache import ResultCache
-from repro.bench.runner import WorkerFailure
+from repro.bench.runner import WorkerFailure, _pool_worker
 from repro.serve import (
     BackgroundService,
     ServeConfig,
@@ -323,6 +323,15 @@ def test_bounded_queue_rejects_with_retry_after(tmp_path, monkeypatch):
     assert m["computations"] == len(served)
 
 
+def _wait_for_health(port, ready, timeout=30.0):
+    """Poll ``/healthz`` until ``ready(payload)`` holds."""
+    deadline = time.monotonic() + timeout
+    with ServiceClient(port=port) as c:
+        while not ready(c.healthz()):
+            assert time.monotonic() < deadline, "healthz never got ready"
+            time.sleep(0.01)
+
+
 def test_drain_finishes_inflight_and_503s_new_work(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_TEST_DELAY", "0.8")
     with BackgroundService(_config(tmp_path)) as bg:
@@ -334,10 +343,12 @@ def test_drain_finishes_inflight_and_503s_new_work(tmp_path, monkeypatch):
 
         t = threading.Thread(target=slow)
         t.start()
-        time.sleep(0.25)               # cold cell now genuinely running
+        # Order cold request -> drain -> probe by the daemon's own
+        # state, not by sleeps a stalled host could reorder.
+        _wait_for_health(bg.port, lambda h: h["inflight_keys"] == 1)
         drainer = threading.Thread(target=bg.drain)
         drainer.start()
-        time.sleep(0.1)
+        _wait_for_health(bg.port, lambda h: h["status"] == "draining")
         with ServiceClient(port=bg.port) as probe:
             status, payload = probe.request("POST", "/v1/cell",
                                             dict(CELL))
@@ -486,6 +497,56 @@ def test_failed_cell_is_not_cached_and_recomputes(tmp_path):
             p = c.submit_cell(**CELL)
     assert p["source"] == "computed"
     assert calls["n"] == 2
+
+
+# Process-mode workers live at module level so the pool can pickle
+# them into its worker processes.
+def _crash_hard_once(config):
+    """Dies with os._exit on the first call (the marker file makes
+    "first" hold across processes), then runs the cell."""
+    marker = os.environ["REPRO_TEST_CRASH_MARKER"]
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(13)
+    return _pool_worker(config)
+
+
+def _hang_hpx_only(config):
+    if config["version"] == "hpx":
+        time.sleep(3600)
+    return _pool_worker(config)
+
+
+def test_process_pool_survives_worker_crash(tmp_path, monkeypatch):
+    """A worker process dying mid-request is absorbed: the pool is
+    rebuilt once and the request still computes."""
+    monkeypatch.setenv("REPRO_TEST_CRASH_MARKER",
+                       str(tmp_path / "crashed.marker"))
+    cfg = _config(tmp_path, jobs=1, worker=_crash_hard_once, backoff=0.0)
+    with BackgroundService(cfg) as bg:
+        with ServiceClient(port=bg.port) as c:
+            p = c.submit_cell(**CELL)
+            m = c.metrics()
+    assert p["source"] == "computed"
+    assert os.path.exists(str(tmp_path / "crashed.marker"))
+    assert m["pool"] == {"jobs": 1, "mode": "process", "rebuilds": 1}
+
+
+def test_process_pool_times_out_wedged_cell(tmp_path):
+    """A wedged worker is killed at the per-cell timeout (500 "timed
+    out"), and the rebuilt pool serves the next request."""
+    cfg = _config(tmp_path, jobs=1, worker=_hang_hpx_only, timeout=2.0,
+                  attempts=1, backoff=0.0)
+    with BackgroundService(cfg) as bg:
+        with ServiceClient(port=bg.port) as c:
+            with pytest.raises(ServiceError) as e:
+                c.submit_cell(**dict(CELL, version="hpx"))
+            p = c.submit_cell(**CELL)
+            m = c.metrics()
+    assert e.value.status == 500
+    assert "timed out" in str(e.value)
+    assert p["source"] == "computed"
+    assert m["pool"]["rebuilds"] == 1
 
 
 def test_audit_log_records_every_request(tmp_path):

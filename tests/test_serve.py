@@ -332,9 +332,17 @@ def _wait_for_health(port, ready, timeout=30.0):
             time.sleep(0.01)
 
 
-def test_drain_finishes_inflight_and_503s_new_work(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_TEST_DELAY", "0.8")
-    with BackgroundService(_config(tmp_path)) as bg:
+def test_drain_finishes_inflight_and_503s_new_work(tmp_path):
+    # The cold cell is held in flight by a gate, not a delay, and each
+    # step waits for the daemon's own state, so cold request -> drain
+    # -> probe keep their order however long the host stalls.
+    release = threading.Event()
+
+    def gated_worker(config):
+        release.wait(60)
+        return _pool_worker(config)
+
+    with BackgroundService(_config(tmp_path, worker=gated_worker)) as bg:
         inflight = {}
 
         def slow():
@@ -343,19 +351,21 @@ def test_drain_finishes_inflight_and_503s_new_work(tmp_path, monkeypatch):
 
         t = threading.Thread(target=slow)
         t.start()
-        # Order cold request -> drain -> probe by the daemon's own
-        # state, not by sleeps a stalled host could reorder.
-        _wait_for_health(bg.port, lambda h: h["inflight_keys"] == 1)
-        drainer = threading.Thread(target=bg.drain)
-        drainer.start()
-        _wait_for_health(bg.port, lambda h: h["status"] == "draining")
-        with ServiceClient(port=bg.port) as probe:
-            status, payload = probe.request("POST", "/v1/cell",
-                                            dict(CELL))
-            assert status == 503
-            assert payload["error"] == "draining"
-            hstatus, health = probe.request("GET", "/healthz")
-            assert hstatus == 200 and health["status"] == "draining"
+        try:
+            _wait_for_health(bg.port, lambda h: h["inflight_keys"] == 1)
+            drainer = threading.Thread(target=bg.drain)
+            drainer.start()
+            _wait_for_health(bg.port,
+                             lambda h: h["status"] == "draining")
+            with ServiceClient(port=bg.port) as probe:
+                status, payload = probe.request("POST", "/v1/cell",
+                                                dict(CELL))
+                assert status == 503
+                assert payload["error"] == "draining"
+                hstatus, health = probe.request("GET", "/healthz")
+                assert hstatus == 200 and health["status"] == "draining"
+        finally:
+            release.set()
         t.join()
         drainer.join()
     # The in-flight request was not dropped: it finished and computed.

@@ -23,14 +23,26 @@ The policy, in one place:
   charged an attempt;
 * a cell dropped by a killed or crashed pool (``BrokenProcessPool``) is
   resubmitted without being charged — a dead sibling is not its fault.
-  Each broken pool is retired once (generation-guarded) and rebuilt, at
-  most ``max_pool_rebuilds`` times, after which the pool degrades to
-  inline execution for the rest of its life.
+  Each broken pool is retired once (generation-guarded) and rebuilt.
+  After more than ``max_pool_rebuilds`` *crashes* the pool degrades to
+  inline execution for the rest of its life.  Timeout kills never
+  degrade it: inline execution cannot preempt a cell, so a sweep of
+  wedged cells would hang instead of reporting them.  Every kill charges
+  the timed-out cell an attempt, so kills are bounded by
+  ``cells x attempts`` anyway;
+* worker processes are forked only while no prep build runs in a thread
+  of this process: :meth:`WarmPool.start` forks them up front, and a
+  rebuild waits for the in-process lock the prep builds hold.
 
 ``jobs=0`` selects inline mode outright: cells run one at a time in a
 worker thread of this process (``asyncio.to_thread``) — no fork, no
 pickling.  Inline execution cannot preempt a cell, so ``timeout`` only
-applies to worker processes.
+applies to worker processes, and an interrupt (Ctrl-C) takes effect once
+the running cell returns.
+
+The pool's asyncio primitives are created inside the event loop that
+first uses them (:meth:`WarmPool.run_all` makes fresh ones for its own
+loop), so a pool may be constructed outside any loop.
 """
 
 from __future__ import annotations
@@ -119,7 +131,7 @@ class WarmPool:
         build and when the pool degrades to inline execution.
     """
 
-    #: Pool rebuilds tolerated before degrading to inline execution.
+    #: Pool crashes tolerated before degrading to inline execution.
     max_pool_rebuilds = 3
 
     def __init__(self, worker: Callable[[dict], object],
@@ -137,13 +149,20 @@ class WarmPool:
         self.metrics = metrics
         self.progress = progress
         self.waiting = 0          # cells waiting for a slot
-        self._slots = asyncio.Semaphore(max(1, self.jobs))
-        self._in_process = asyncio.Lock()   # one in-process build/cell
+        self._slots: Optional[asyncio.Semaphore] = None
+        self._in_process: Optional[asyncio.Lock] = None
         self._prebuilds: Dict[tuple, asyncio.Future] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._generation = 0
-        self._rebuilds = 0
+        self._rebuilds = 0        # every retire: kills and crashes
+        self._crashes = 0         # unattributed crashes only
         self._inline_only = self.jobs == 0
+
+    def _bind(self) -> None:
+        """Create the asyncio state in the running loop."""
+        self._slots = asyncio.Semaphore(max(1, self.jobs))
+        self._in_process = asyncio.Lock()   # one in-process build/cell
+        self._prebuilds = {}
 
     # ------------------------------------------------------------------
     @property
@@ -151,20 +170,27 @@ class WarmPool:
         return "inline" if self._inline_only else "process"
 
     def start(self) -> None:
-        """Spin the workers up ahead of the first cell."""
-        if not self._inline_only:
-            self._ensure_pool()
+        """Fork the workers now, before any prep build thread exists.
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs, initializer=_warm_init)
-            except OSError:
-                # Cannot fork (resource limits): degrade permanently.
-                self._inline_only = True
-                raise
-        return self._pool
+        The executor forks lazily on ``submit``; one warm-up call per
+        worker makes every fork happen here, at a moment the caller
+        chose.  If the process cannot fork (resource limits), the pool
+        degrades to inline execution for good.
+        """
+        if self._inline_only or self._pool is not None:
+            return
+        pool = None
+        try:
+            pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                       initializer=_warm_init)
+            for _ in range(self.jobs):
+                pool.submit(_warm_init)
+        except OSError:
+            if pool is not None:
+                self._kill(pool)
+            self._inline_only = True
+            return
+        self._pool = pool
 
     @staticmethod
     def _kill(pool: ProcessPoolExecutor) -> None:
@@ -202,12 +228,15 @@ class WarmPool:
         self._rebuilds += 1
         if self.metrics is not None:
             self.metrics.worker_restarts += 1
-        if self._rebuilds > self.max_pool_rebuilds:
+        if kill:
+            return  # a timeout kill never degrades (see module doc)
+        self._crashes += 1
+        if self._crashes > self.max_pool_rebuilds:
             self._inline_only = True
             if self.progress is not None:
                 self.progress(
-                    f"[pool]  unhealthy after {self._rebuilds - 1} "
-                    "rebuilds; degrading to inline execution")
+                    f"[pool]  unhealthy after {self._crashes - 1} "
+                    "crashes; degrading to inline execution")
 
     async def _prebuild(self, config: dict) -> None:
         """Parent-side prep build, once per prep signature."""
@@ -248,20 +277,23 @@ class WarmPool:
         attempts.  Timeouts and pool crashes are absorbed per the
         policy in the module docstring.
         """
+        if self._slots is None:
+            self._bind()
         await self._prebuild(config)
         attempt = 0
         while True:
             await self._acquire()
             try:
+                if self._pool is None and not self._inline_only:
+                    # Fork only while no prep build thread runs.
+                    async with self._in_process:
+                        self.start()
                 generation = self._generation
                 if self._inline_only:
                     async with self._in_process:
                         return await asyncio.to_thread(self.worker, config)
-                try:
-                    pool = self._ensure_pool()
-                except OSError:
-                    continue  # cannot fork: flipped to inline-only
-                fut = asyncio.wrap_future(pool.submit(self.worker, config))
+                fut = asyncio.wrap_future(
+                    self._pool.submit(self.worker, config))
                 done, _ = await asyncio.wait({fut}, timeout=self.timeout)
                 if done:
                     return fut.result()
@@ -292,6 +324,9 @@ class WarmPool:
                 ) -> List[object]:
         """Run every config on a fresh event loop, then close the pool.
 
+        Worker processes are forked before the loop starts, while this
+        process runs no thread of its own.
+
         Returns, in input order, each cell's result or the
         :class:`WorkerFailure` it ended with.  ``done(index, result)``
         is called as each cell succeeds, so callers can persist
@@ -307,12 +342,14 @@ class WarmPool:
             return result
 
         async def main():
+            self._bind()
             try:
                 return await asyncio.gather(
                     *(one(i, c) for i, c in enumerate(configs)))
             finally:
                 self.close()
 
+        self.start()
         return asyncio.run(main())
 
     # ------------------------------------------------------------------

@@ -300,21 +300,31 @@ class ExperimentRunner:
         self.total_seconds = time.perf_counter() - t_start
         return [results[k] for k in keys]
 
+    def pool_for(self, n_cells: int,
+                 worker: Optional[Callable[[dict], object]] = None
+                 ) -> WarmPool:
+        """A :class:`WarmPool` with this runner's policy for ``n_cells``.
+
+        Worker processes only pay off for two or more cells, so a
+        single cell (or ``jobs=1``) runs in-process; otherwise one
+        worker per cell, at most ``jobs``.  ``worker`` defaults to
+        :attr:`pool_worker`.
+        """
+        forked = self.jobs > 1 and n_cells > 1
+        return WarmPool(worker or self.pool_worker,
+                        jobs=min(self.jobs, n_cells) if forked else 0,
+                        timeout=self.timeout, attempts=self.attempts,
+                        backoff=self.backoff, progress=self.progress)
+
     def _run_misses(self, miss_keys, configs, labels, results) -> None:
         """Simulate the cache misses through one :class:`WarmPool`.
 
-        Worker processes only pay off for two or more misses, so a
-        single miss (or ``jobs=1``) runs in-process.  The pool retries
-        failed cells, kills wedged workers and rebuilds crashed pools;
-        only cells that exhaust their attempts end up in the
-        :class:`SweepError` failure table — everything else was cached
-        as it finished, before the raise.
+        The pool retries failed cells, kills wedged workers and
+        rebuilds crashed pools; only cells that exhaust their attempts
+        end up in the :class:`SweepError` failure table — everything
+        else was cached as it finished, before the raise.
         """
-        pool = WarmPool(self.pool_worker,
-                        jobs=(self.jobs if self.jobs > 1
-                              and len(miss_keys) > 1 else 0),
-                        timeout=self.timeout, attempts=self.attempts,
-                        backoff=self.backoff, progress=self.progress)
+        pool = self.pool_for(len(miss_keys))
 
         def done(index: int, out: tuple) -> None:
             key = miss_keys[index]

@@ -555,7 +555,6 @@ def _traced_sweep(cells, runner, args):
     import time
 
     from repro.bench import SweepError
-    from repro.bench.pool import WarmPool
 
     labels = [cell.label().replace("/", "-").replace("@", "-bc")
               for cell in cells]
@@ -567,12 +566,7 @@ def _traced_sweep(cells, runner, args):
         for cell, label in zip(cells, labels)
     ]
     t0 = time.perf_counter()
-    n_workers = (min(runner.jobs, len(cells))
-                 if runner.jobs > 1 and len(cells) > 1 else 1)
-    pool = WarmPool(_traced_bench_cell,
-                    jobs=n_workers if n_workers > 1 else 0,
-                    timeout=runner.timeout, attempts=runner.attempts,
-                    backoff=runner.backoff)
+    pool = runner.pool_for(len(cells), _traced_bench_cell)
     traced = pool.run_all(work)
     SweepError.check([cell.label() for cell in cells],
                      [None] * len(cells), traced, pool.attempts)
@@ -585,7 +579,7 @@ def _traced_sweep(cells, runner, args):
     # "0 unique cells"; report the traced sweep itself.
     return results, (f"{len(cells)} traced cells: "
                      f"{time.perf_counter() - t0:.2f} s wall, "
-                     f"jobs={n_workers} (result cache bypassed)")
+                     f"jobs={max(1, pool.jobs)} (result cache bypassed)")
 
 
 def _cmd_bench(args) -> int:

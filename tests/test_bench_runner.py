@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.bench.cache import ResultCache
+from repro.bench.pool import WarmPool
 from repro.bench.runner import (
     Cell,
     DEFAULT_BLOCK_COUNT,
@@ -391,6 +392,56 @@ def test_timeout_charges_only_the_wedged_cells(tmp_path):
                                              CELLS[2].label()]
     assert all("timed out" in f["error"] for f in failures)
     assert runner.cache.get(CELLS[0].config()) is not None
+
+
+def _wedge_for_a_minute(config):
+    time.sleep(60)
+    raise RuntimeError("woke up: the cell was never preempted")
+
+
+def test_timeout_kills_never_degrade_the_pool_to_inline(tmp_path):
+    """Each timeout kills the pool, but kills do not count towards the
+    crash limit that switches to (unpreemptable) inline execution: five
+    wedged cells with two attempts each on two workers need six kills,
+    and all five still time out within a bounded wall."""
+    wedged = [Cell(machine="broadwell", matrix="inline1",
+                   solver="lanczos", version="deepsparse",
+                   block_count=16, iterations=i) for i in range(1, 6)]
+    runner = _runner(tmp_path, jobs=2, timeout=1.0, attempts=2,
+                     backoff=0.0, pool_worker=_wedge_for_a_minute)
+    t0 = time.monotonic()
+    with pytest.raises(SweepError) as ei:
+        runner.run_cells(wedged)
+    assert time.monotonic() - t0 < 40  # never waits out a 60 s sleep
+    failures = ei.value.failures
+    assert [f["cell"] for f in failures] == [c.label() for c in wedged]
+    assert all("timed out" in f["error"] for f in failures)
+
+
+def _square(config):
+    time.sleep(0.01)
+    return config["n"] ** 2
+
+
+def test_pool_binds_its_asyncio_state_to_each_run_all_loop():
+    """A pool built outside any event loop runs contended cells, and a
+    second ``run_all`` (a new loop) does not trip over primitives bound
+    to the first one."""
+    pool = WarmPool(_square, jobs=0, attempts=1)
+    configs = [{"n": n} for n in range(4)]
+    assert pool.run_all(configs) == [0, 1, 4, 9]
+    assert pool.run_all(configs) == [0, 1, 4, 9]
+
+
+def test_pool_start_forks_every_worker_up_front():
+    """``start`` forks the workers before any cell (and so before any
+    prep build thread) exists."""
+    pool = WarmPool(_square, jobs=2)
+    try:
+        pool.start()
+        assert len(pool._pool._processes) == 2
+    finally:
+        pool.close()
 
 
 def test_quarantine_counter_surfaces_in_report(tmp_path):
